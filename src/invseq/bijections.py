@@ -64,7 +64,7 @@ def is_3210_by_partition(e):
     return all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-def second_max_values(e, i, tie="multiset"):
+def second_max_values(e, i, tie="dominated"):
     """(largest, second largest) among e_0..e_{i-1}; None where undefined."""
     e = _raw(e)
     prefix = e[:i]

@@ -227,7 +227,6 @@ def refined_table(bounds, pattern, mode):
     if not bounds:
         table[_refined_key((), mode)] += 1
         return dict(table)
-    mat = engine.avoider_matrix(bounds, pattern)
-    for row in mat:
-        table[_refined_key(tuple(int(x) for x in row), mode)] += 1
+    for row in engine.avoider_matrix(bounds, pattern).tolist():
+        table[_refined_key(row, mode)] += 1
     return dict(table)

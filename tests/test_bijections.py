@@ -52,6 +52,9 @@ class TestSecondMax:
         assert second_max_values((0, 2, 1), 3, tie="dominated") == (2, 1)
         assert second_max_values((0, 1, 2), 3, tie="dominated") == (2, None)
 
+    def test_dominated_is_default(self):
+        assert second_max_values((0, 2, 2), 3) == (2, None)
+
     def test_unknown_tie(self):
         with pytest.raises(ValueError):
             second_max_values((0, 1), 2, tie="???")

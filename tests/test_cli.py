@@ -38,6 +38,11 @@ class TestCount:
         assert code == 0
         assert rows_json(out) == [{"set": "2,3,5", "pattern": "210", "count": 30}]
 
+    def test_set_past_int16(self, capsys):
+        code, out, _ = run(["count", "--pattern", "10", "--set", "3,40000"], capsys)
+        assert code == 0
+        assert rows_csv(out) == [{"set": "3,40000", "pattern": "10", "count": "119997"}]
+
     def test_vector(self, capsys):
         code, out, _ = run(
             ["count", "--pattern", "000", "--n", "5", "--vector"], capsys

@@ -1,0 +1,57 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invseq import canonical_patterns, count_avoiders, enumerate_avoiders
+from invseq.core import contains, ordinary_bounds
+from invseq.engine import _dtype_for, avoider_steps, contains_mask
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_every_layer_matches_reference(length):
+    # Rows, not just counts, and in the same lexicographic order.
+    for p in canonical_patterns(length):
+        for m, E in enumerate(avoider_steps(ordinary_bounds(7), p), start=1):
+            want = list(enumerate_avoiders(ordinary_bounds(m), p))
+            assert [tuple(row) for row in E.tolist()] == want, (str(p), m)
+
+
+@pytest.mark.parametrize(
+    "bounds, dtype",
+    [
+        (ordinary_bounds(11), np.int8),
+        ((3, 128), np.int8),
+        ((3, 129), np.int16),
+        ((3, 32768), np.int16),
+        ((3, 32769), np.int32),
+        ((3, 40000), np.int32),
+    ],
+)
+def test_storage_dtype_holds_largest_entry(bounds, dtype):
+    assert _dtype_for(bounds) is dtype
+
+
+def test_bound_past_int16_counts_exactly():
+    # e_2 >= e_1 for e_1 in {0, 1, 2}: 40000 + 39999 + 39998
+    assert count_avoiders((3, 40000), "10") == 119997
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), max_size=2),
+    st.sampled_from([126, 127, 128, 129, 32766, 32767, 32768, 32769]),
+    st.sampled_from([(1, 0), (0, 1), (0, 0), (1, 0, 1), (0, 0, 1), (2, 1, 0)]),
+)
+def test_engines_agree_near_dtype_limits(head, top, pattern):
+    bounds = tuple(sorted(set(head))) + (top,)
+    assert count_avoiders(bounds, pattern, "fast") == count_avoiders(
+        bounds, pattern, "reference"
+    )
+
+
+@pytest.mark.parametrize("bounds", [(), (1, 2, 3, 4, 5), (2, 3, 5), (1, 3, 4, 6)])
+@pytest.mark.parametrize("pattern", [(0,), (1, 0), (0, 0, 0), (1, 0, 1, 2), (3, 2, 0, 1)])
+def test_contains_mask_matches_contains(bounds, pattern):
+    E, hit = contains_mask(bounds, pattern)
+    assert hit.tolist() == [contains(tuple(row), pattern) for row in E.tolist()]
