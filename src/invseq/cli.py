@@ -490,8 +490,6 @@ def _add_common(sp):
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--allow-long", action="store_true")
-    sp.add_argument("--seed-order", default=None,
-                    help="reserved; only 'lex' is accepted")
 
 
 def build_parser():
@@ -559,8 +557,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed_order not in (None, "lex"):
-        parser.exit(2, f"--seed-order only supports 'lex', got {args.seed_order!r}\n")
     start = time.monotonic()
     try:
         report = args.fn(args)

@@ -9,6 +9,8 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .core import (
     Pattern,
     _pattern_entries,
@@ -73,7 +75,9 @@ def theorem31_rhs(n, suffix):
 
     `suffix` is the literal tail of a pattern whose first entry is 0 and
     whose remaining entries are positive; zero entries are rejected since
-    they violate that hypothesis. Equals |I_n(0 . suffix)|.
+    they violate that hypothesis. Equals |I_n(0 . suffix)|. The subsets
+    are visited by one depth-first walk of the subset lattice
+    (`engine.subset_total`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -86,13 +90,7 @@ def theorem31_rhs(n, suffix):
         raise ValueError("suffix must be nonempty")
     if min(word) < 1:
         raise ValueError("suffix entries must be positive (pattern tail after 0)")
-    p = Pattern(word)
-    ground = list(range(1, n))
-    total = 0
-    for mask in range(1 << (n - 1)):
-        s = tuple(ground[i] for i in range(n - 1) if mask >> i & 1)
-        total += count_avoiders(s, p)
-    return total
+    return engine.subset_total(range(1, n), Pattern(word))
 
 
 def binary_avoider_formula(j, k, ell):
@@ -215,18 +213,122 @@ def _refined_key(e, mode):
     raise ValueError(f"unknown refinement mode {mode!r}")
 
 
+def _check_mode(mode):
+    """Reject a refinement mode that _refined_key would reject."""
+    if mode == "non_inversion":
+        return
+    try:
+        kind, h = mode
+    except (TypeError, ValueError):
+        raise ValueError(f"unknown refinement mode {mode!r}") from None
+    if kind == "terminal":
+        if h < 0:
+            raise ValueError("h must be nonnegative")
+    elif kind == "initial":
+        if h < 1:
+            raise ValueError("h must be positive")
+    else:
+        raise ValueError(f"unknown refinement mode {mode!r}")
+
+
+def _repeat_counts(E, zero, pos, kind, h):
+    """terminal_h_repeat resp. initial_h_repeat of every row of E.
+
+    For 'terminal' a zero qualifies when some positive value occurs h times
+    after it, for 'initial' when one does before it. The qualifying zeros
+    are the leftmost resp. rightmost ones, so the statistic is their number.
+    Walking the columns toward that end, a zero qualifies once the running
+    multiplicity of some positive value over the walked columns reaches h.
+    """
+    rows, n = E.shape
+    if h == 0:
+        return zero.sum(axis=1)
+    walk = range(n) if kind == "initial" else range(n - 1, -1, -1)
+    hit = np.zeros(rows, dtype=bool)
+    r = np.zeros(rows, dtype=np.int64)
+    for i, t in enumerate(walk):
+        x = E[:, t]
+        seen = 1 + sum(E[:, u] == x for u in walk[:i]) if h > 1 else 1
+        hit |= pos[:, t] & (seen >= h)
+        r += zero[:, t] & hit
+    return r
+
+
+def _non_inversion_columns(E, zero, pos):
+    """(z, B) for every row of E: z = initial_non_inversion, and B[row, i]
+    is true iff i is in initial_positive_set.
+
+    A zero counts toward z iff no ascent of positives is completed at or
+    before it; a positive entry marks the segment numbered by the zeros
+    before it.
+    """
+    rows, n = E.shape
+    low = np.full(rows, np.iinfo(E.dtype).max, dtype=E.dtype)
+    clean = np.ones(rows, dtype=bool)
+    z = np.zeros(rows, dtype=np.int64)
+    for t in range(n):
+        x = E[:, t]
+        clean &= x <= low
+        np.minimum(low, x, out=low, where=pos[:, t])
+        z += zero[:, t] & clean
+    segment = np.cumsum(zero, axis=1) - zero
+    r, t = np.nonzero(pos & (segment < z[:, None]))
+    B = np.zeros((rows, n), dtype=bool)
+    B[r, segment[r, t]] = True
+    return z, B
+
+
+def _refined_counts(E, mode):
+    """Counter(_refined_key(row, mode) for row in E) as a dict, computed
+    column-wise over the matrix E of sequences, one per row.
+
+    Each row's key is packed into int64 words of 63 bits (j, k and the
+    statistic take n.bit_length() bits each, the positive set one bit per
+    segment), and rows are grouped by sorting the words.
+    """
+    rows, n = E.shape
+    if rows == 0:
+        return {}
+    zero, pos = E == 0, E > 0
+    fields = [zero.sum(axis=1), (E == 1).sum(axis=1)]
+    if mode == "non_inversion":
+        z, B = _non_inversion_columns(E, zero, pos)
+        fields.append(z)
+        bits = [(byte, 8) for byte in np.packbits(B, axis=1).T]
+    else:
+        fields.append(_repeat_counts(E, zero, pos, *mode))
+        bits = []
+    packed = [(f, n.bit_length()) for f in fields] + bits
+    words, used = [np.zeros(rows, dtype=np.int64)], 0
+    for values, w in packed:
+        if used + w > 63:
+            words.append(np.zeros(rows, dtype=np.int64))
+            used = 0
+        words[-1] |= values.astype(np.int64) << used
+        used += w
+    order = np.lexsort(words)
+    first = np.zeros(rows, dtype=bool)
+    first[0] = True
+    for word in words:
+        word = word[order]
+        first[1:] |= word[1:] != word[:-1]
+    starts = first.nonzero()[0]
+    reps = order[starts]
+    keys = [f[reps].tolist() for f in fields]
+    if mode == "non_inversion":
+        keys.append(frozenset(b.nonzero()[0].tolist()) for b in B[reps])
+    sizes = np.append(starts[1:], rows) - starts
+    return dict(zip(zip(*keys), sizes.tolist()))
+
+
 def refined_table(bounds, pattern, mode):
     """Counts of I_S(pattern) partitioned by refined key.
 
     mode is ('terminal', h), ('initial', h) or 'non_inversion'; keys are
     (j, k, r) resp. (j, k, z, P) with P a frozenset. Values sum to
-    |I_S(pattern)|.
+    |I_S(pattern)|. The keys are computed column-wise over the avoider
+    matrix; `_refined_key` is their per-row definition.
     """
     bounds = validate_bounds(bounds)
-    table = Counter()
-    if not bounds:
-        table[_refined_key((), mode)] += 1
-        return dict(table)
-    for row in engine.avoider_matrix(bounds, pattern).tolist():
-        table[_refined_key(row, mode)] += 1
-    return dict(table)
+    _check_mode(mode)
+    return _refined_counts(engine.avoider_matrix(bounds, pattern), mode)

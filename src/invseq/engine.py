@@ -81,6 +81,62 @@ def _head_matches(cols, rel, combo=(), mask=None):
         yield from _head_matches(cols, rel, combo + (c,), sub)
 
 
+def _plan(p):
+    """What every growth step for pattern entries p needs: (rel, start, stop).
+
+    rel[a][b] is the sign of p[b] - p[a] over the pattern head; start and
+    stop are the ends of the forbidden interval (see _interval_ends).
+    """
+    k = len(p) - 1
+    rel = [[_sign(p[b] - p[a]) for b in range(k)] for a in range(k)]
+    return (rel,) + _interval_ends(p)
+
+
+def _keep_mask(E, s, rel, start, stop):
+    """keep[v, r]: whether row r of E followed by the value v still avoids.
+
+    E holds avoiders as rows, column-major; its dtype must hold s - 1.
+    """
+    rows, m = E.shape
+    cols = [E[:, j] for j in range(m)]
+    # diff[v, r] is +1 where an interval of row r starts and -1 just past
+    # its end; a cell gets at most one of each per column choice.
+    diff = np.zeros((s + 1, rows), dtype=_int_dtype(comb(m, len(rel))))
+    for combo, mask in _head_matches(cols, rel):
+        idx = mask.nonzero()[0] if mask is not None else np.arange(rows)
+        # Old entries are below their bound, which is below the largest
+        # one, so x + 1 still fits the storage dtype.
+        if start is None:
+            diff[0, idx] += 1
+        else:
+            diff[cols[combo[start[0]]][idx] + start[1], idx] += 1
+        if stop is not None:
+            diff[cols[combo[stop[0]]][idx] + stop[1], idx] -= 1
+    # The running sum counts the intervals covering each (v, row) child.
+    np.add.accumulate(diff, axis=0, out=diff)
+    return diff[:s] == 0
+
+
+def _grow(E, s, keep):
+    """The next layer: each row of E followed by each value kept for it.
+
+    Lexicographic order, column-major storage and E's dtype carry over.
+    """
+    rows, m = E.shape
+    counts = np.add.reduce(keep, axis=0)
+    keep = np.ascontiguousarray(keep.T)
+    out = np.empty((int(counts.sum()), m + 1), dtype=E.dtype, order="F")
+    for j in range(m):
+        out[:, j] = E[:, j].repeat(counts)
+    out[:, m] = np.arange(s, dtype=E.dtype)[None].repeat(rows, 0)[keep]
+    return out
+
+
+def _empty_layer(bounds):
+    """The single empty avoider, in the storage dtype for `bounds`."""
+    return np.zeros((1, 0), dtype=_dtype_for(bounds), order="F")
+
+
 def avoider_steps(bounds, pattern):
     """Yield the avoider matrix after each successive bound.
 
@@ -88,38 +144,37 @@ def avoider_steps(bounds, pattern):
     of I_{S_m}(pattern), in lexicographic order, stored column-major.
     """
     bounds = validate_bounds(bounds)
-    p = _pattern_entries(pattern)
-    k = len(p) - 1
-    rel = [[_sign(p[b] - p[a]) for b in range(k)] for a in range(k)]
-    start, stop = _interval_ends(p)
-    dt = _dtype_for(bounds)
-    E = np.zeros((1, 0), dtype=dt, order="F")
-    for m, s in enumerate(bounds):
-        rows = E.shape[0]
-        cols = [E[:, j] for j in range(m)]
-        # diff[v, r] is +1 where an interval of row r starts and -1 just past
-        # its end; a cell gets at most one of each per column choice.
-        diff = np.zeros((s + 1, rows), dtype=_int_dtype(comb(m, k)))
-        for combo, mask in _head_matches(cols, rel):
-            idx = mask.nonzero()[0] if mask is not None else np.arange(rows)
-            # Old entries are below their bound, which is below the largest
-            # one, so x + 1 still fits the storage dtype.
-            if start is None:
-                diff[0, idx] += 1
-            else:
-                diff[cols[combo[start[0]]][idx] + start[1], idx] += 1
-            if stop is not None:
-                diff[cols[combo[stop[0]]][idx] + stop[1], idx] -= 1
-        # The running sum counts the intervals covering each (v, row) child.
-        np.add.accumulate(diff, axis=0, out=diff)
-        keep = diff[:s] == 0
-        counts = np.add.reduce(keep, axis=0)
-        keep = np.ascontiguousarray(keep.T)
-        E = np.empty((int(counts.sum()), m + 1), dtype=dt, order="F")
-        for j, col in enumerate(cols):
-            E[:, j] = col.repeat(counts)
-        E[:, m] = np.arange(s, dtype=dt)[None].repeat(rows, 0)[keep]
+    plan = _plan(_pattern_entries(pattern))
+    E = _empty_layer(bounds)
+    for s in bounds:
+        E = _grow(E, s, _keep_mask(E, s, *plan))
         yield E
+
+
+def subset_total(ground, pattern):
+    """Sum of |I_S(pattern)| over every subset S of the bound set `ground`.
+
+    A depth-first walk over the subset lattice: each subset, taken in
+    increasing order, is its parent's bounds plus one larger bound, so its
+    layer is one growth step from the parent's layer. That is one step per
+    nonempty subset instead of one per entry of every subset. Subsets
+    ending in the largest bound have no children, so only their rows are
+    counted and their layers are never built.
+    """
+    ground = validate_bounds(ground)
+    plan = _plan(_pattern_entries(pattern))
+
+    def walk(E, lo):
+        total = E.shape[0]
+        for i in range(lo, len(ground)):
+            keep = _keep_mask(E, ground[i], *plan)
+            if i + 1 < len(ground):
+                total += walk(_grow(E, ground[i], keep), i + 1)
+            else:
+                total += int(np.count_nonzero(keep))
+        return total
+
+    return walk(_empty_layer(ground), 0)
 
 
 def avoider_matrix(bounds, pattern):

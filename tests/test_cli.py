@@ -145,16 +145,6 @@ class TestChecks:
         assert code == 0
         assert "FAIL" not in err
 
-    def test_seed_order_rejects_other(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["count", "--pattern", "000", "--n", "3", "--seed-order", "random"])
-
-    def test_seed_order_lex_ok(self, capsys):
-        code, _, _ = run(
-            ["count", "--pattern", "000", "--n", "3", "--seed-order", "lex"], capsys
-        )
-        assert code == 0
-
 
 class TestOeisCompare:
     def test_bell_passes(self, capsys):

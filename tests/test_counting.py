@@ -1,11 +1,14 @@
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invseq import (
     binary_avoider_formula,
+    canonical_patterns,
     count_avoiders,
     count_avoiders_n,
     count_binary_avoiders_bruteforce,
@@ -18,6 +21,22 @@ from invseq import (
     theorem31_rhs,
 )
 from invseq.core import contains, ordinary_bounds
+from invseq.counting import _refined_counts, _refined_key
+
+MODES = [
+    ("terminal", 0),
+    ("terminal", 1),
+    ("terminal", 2),
+    ("initial", 1),
+    ("initial", 2),
+    ("initial", 3),
+    "non_inversion",
+]
+PATTERNS = [p for length in range(1, 5) for p in canonical_patterns(length)]
+
+
+def per_row_table(rows, mode):
+    return dict(Counter(_refined_key(row, mode) for row in rows))
 
 
 class TestEnumerate:
@@ -83,6 +102,17 @@ class TestTheorem31:
         # computed independently by direct enumeration
         assert theorem31_rhs(4, (2, 1, 2)) == 24 == count_avoiders_n(4, (0, 2, 1, 2))
         assert theorem31_rhs(5, (2, 1)) == 90 == count_avoiders_n(5, (0, 2, 1))
+
+    @pytest.mark.parametrize("suffix", ["111", "212", "221", "312", "321", "21"])
+    def test_matches_reference_subset_sum(self, suffix):
+        # Every subset counted on its own by the pure-Python enumerator.
+        for n in range(1, 8):
+            want = sum(
+                count_avoiders(s, suffix, engine_name="reference")
+                for r in range(n)
+                for s in combinations(range(1, n), r)
+            )
+            assert theorem31_rhs(n, suffix) == want, n
 
     def test_rejects_zero_suffix(self):
         with pytest.raises(ValueError):
@@ -168,3 +198,70 @@ class TestRefinedTable:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             refined_table((1, 2), (0, 0), ("sideways", 1))
+
+    @pytest.mark.parametrize("bounds, pattern", [((1,), (0,)), ((), (0, 0))])
+    @pytest.mark.parametrize(
+        "mode", [("initial", 0), ("terminal", -1), ("sideways", 1), "noninversion"]
+    )
+    def test_bad_mode_rejected_with_or_without_rows(self, bounds, pattern, mode):
+        # I_{(1)}(0) is empty and I_{()} holds one row; both must reject.
+        with pytest.raises(ValueError):
+            refined_table(bounds, pattern, mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 5), max_size=3),
+        st.sampled_from([None, 6, 127, 128, 129, 160]),
+        st.sampled_from(PATTERNS),
+        st.sampled_from(MODES),
+    )
+    @example([], None, (0, 0), "non_inversion")
+    @example([], None, (0, 1, 2), ("terminal", 0))
+    @example([2, 3], None, (0,), ("initial", 1))
+    @example([1, 2], 130, (0,), "non_inversion")
+    def test_matches_per_row_keys(self, head, top, pattern, mode):
+        bounds = tuple(sorted(set(head))) + ((top,) if top else ())
+        rows = enumerate_avoiders(bounds, pattern)
+        assert refined_table(bounds, pattern, mode) == per_row_table(rows, mode)
+
+
+class TestRefinedCounts:
+    @staticmethod
+    def long_rows():
+        # 70 zeros, each followed by a 1: the initial positive set is
+        # {1, ..., 69}, past one 64-bit word.
+        a = [0, 1] * 70
+        # The same entries but segment 67's positive moved into segment 66:
+        # j, k and z agree with `a`; only bit 67 of the positive set differs.
+        b = a[:132] + [1, 0] + a[134:]
+        c = a[:65] + [2] + a[66:]  # an ascent 1 < 2 inside the prefix
+        return [a, b, c, a, [3] * 64 + [0] * 76]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_longer_than_a_word(self, mode):
+        rows = self.long_rows()
+        E = np.array(rows, dtype=np.int8, order="F")
+        assert _refined_counts(E, mode) == per_row_table(rows, mode)
+
+    def test_positive_set_beyond_bit_63_separates_rows(self):
+        a, b = self.long_rows()[:2]
+        table = _refined_counts(np.array([a, b, a]), "non_inversion")
+        assert table == {
+            (70, 70, 70, frozenset(range(1, 70))): 2,
+            (70, 70, 70, frozenset(range(1, 70)) - {67}): 1,
+        }
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 140).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 100]), min_size=n, max_size=n),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        st.sampled_from(MODES),
+    )
+    def test_matches_per_row_keys_on_arbitrary_rows(self, rows, mode):
+        E = np.array(rows, dtype=np.int16, order="F").reshape(len(rows), -1)
+        assert _refined_counts(E, mode) == per_row_table(rows, mode)
