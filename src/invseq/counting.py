@@ -59,7 +59,7 @@ def count_avoiders(bounds, pattern, engine_name="fast"):
         return sum(1 for _ in enumerate_avoiders(bounds, pattern))
     if engine_name != "fast":
         raise ValueError(f"unknown engine {engine_name!r}")
-    return int(engine.avoider_matrix(bounds, pattern).shape[0])
+    return engine.avoider_counts(bounds, pattern)[-1]
 
 
 def count_avoiders_n(n, pattern, engine_name="fast"):

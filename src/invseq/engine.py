@@ -6,27 +6,41 @@ Correctness rests on hereditary avoidance: every prefix of an avoider
 avoids, so extending only surviving rows and rejecting extensions that
 complete an occurrence at the new position enumerates exactly the avoiders.
 
-Each growth step filters once per parent row, not once per child. For a
-choice of L-1 old columns whose values realize the pattern head p[:L-1],
-the new values v that complete an occurrence form one interval: v must
-lie above every entry whose pattern value is below p[L-1], below every
-entry whose pattern value is above it, and equal to any tied entry. The
-union of these forbidden intervals over all column choices is taken with
-a difference array over the (value, row) grid and a running sum; the
-children with coverage 0 survive. Layers are stored column-major, so
-each column comparison reads contiguous memory. Entries use the narrowest
-signed integer dtype that holds the largest bound minus one, so none wraps.
+Each growth step first finds, for every row, the next values that would
+complete an occurrence. For a choice of L-1 columns whose values realize
+the pattern head p[:L-1], those values form one interval: v must lie above
+every entry whose pattern value is below p[L-1], below every entry whose
+pattern value is above it, and equal to any tied entry. A head occurrence
+whose last column is t-1 depends only on the row's length-t prefix, and
+rows sharing a prefix are adjacent in lexicographic order. So a walk over
+t = 1..m tests the occurrences ending at column t-1 once, on the first row
+of each distinct length-t prefix, and passes each prefix's forbidden values
+down to the prefixes that extend it. The forbidden values of a row are bits
+in uint64 words, ceil(largest bound / 64) words per row, so the union of the
+intervals is a bitwise OR. The children whose bit is clear survive; a count
+of the next length is rows × s minus the set bits below s, with no layer
+built. Layers are stored column-major, so each column comparison reads
+contiguous memory. Entries use the narrowest signed integer dtype that
+holds the largest bound minus one, so none wraps.
 """
 
 from __future__ import annotations
 
-from math import comb
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
-from .core import _pattern_entries, _sign, validate_bounds
+from .core import Pattern, _pattern_entries, _sign, validate_bounds
 
 _INT_DTYPES = [(np.iinfo(dt).max, dt) for dt in (np.int8, np.int16, np.int32)]
+
+_WORD = 64
+# Bit words are little-endian, so their bytes list the values in order.
+_BITS = np.dtype("<u8")
+# _LOW[b] has the bits below b set and _HIGH[b] the others, for 0 <= b <= 64.
+_LOW = np.array([(1 << b) - 1 for b in range(_WORD + 1)], dtype=_BITS)
+_HIGH = ~_LOW
 
 
 def _int_dtype(limit):
@@ -44,7 +58,7 @@ def _interval_ends(p):
 
     Returns (start, stop), each None or (head position, offset): given the
     matched head values x, lo = x[start[0]] + start[1] (0 when start is
-    None) and hi + 1 = x[stop[0]] + stop[1] (the bound s when stop is
+    None) and hi + 1 = x[stop[0]] + stop[1] (no upper end when stop is
     None). A tied entry pins v to its value. Otherwise v lies just above
     the largest head value below p[-1] and just below the smallest one
     above it; once the head matches, entries with equal pattern values are
@@ -61,75 +75,148 @@ def _interval_ends(p):
     return start, stop
 
 
-def _head_matches(cols, rel, combo=(), mask=None):
-    """Yield (combo, mask) for every choice of len(rel) columns, in order.
+def _plan(pattern, bounds):
+    """What every growth step for `pattern` over `bounds` needs (see _word_plan)."""
+    return _word_plan(_pattern_entries(pattern), -(-max(bounds, default=1) // _WORD))
+
+
+@lru_cache(maxsize=64)
+def _word_plan(p, words):
+    """(rel, ends, words) for pattern entries p and `words` uint64 words per row.
+
+    rel[a][b] is the sign of p[b] - p[a] over the pattern head. ends has
+    one (head position, table, base) for each end of the forbidden interval
+    (see _interval_ends): for the matched head value x at that position,
+    table.take(x + base, mode="clip") are the words of the values on the
+    interval's side of that end, so their AND is the interval. base is
+    read-only, since every caller shares it.
+    """
+    k = len(p) - 1
+    rel = tuple(tuple(_sign(p[b] - p[a]) for b in range(k)) for a in range(k))
+    ends = []
+    for end, table in zip(_interval_ends(p), (_HIGH, _LOW)):
+        if end is not None:
+            # Word w holds the values 64w..64w+63; clipping the index to
+            # 0..64 leaves a word all clear or all set past its range.
+            base = end[1] - _WORD * np.arange(words)
+            base.flags.writeable = False
+            ends.append((end[0], table, base))
+    return rel, tuple(ends), words
+
+
+def _compare(x, y, r):
+    return x > y if r > 0 else x < y if r < 0 else x == y
+
+
+def _head_matches(cols, rel):
+    """Yield (combo, mask) for every choice of len(rel) columns ending at the last.
 
     mask marks the rows whose values in those columns are order-isomorphic
     to the pattern head, or is None when every row qualifies. Masks are
     built incrementally, so choices sharing a prefix share its comparisons.
     """
-    t = len(combo)
-    if t == len(rel):
-        yield combo, mask
-        return
-    for c in range(combo[-1] + 1 if combo else 0, len(cols) - len(rel) + t + 1):
-        x, sub = cols[c], mask
-        for a in range(t):
-            y, r = cols[combo[a]], rel[a][t]
-            cond = x > y if r > 0 else x < y if r < 0 else x == y
-            sub = cond if sub is None else sub & cond
-        yield from _head_matches(cols, rel, combo + (c,), sub)
+    k, last = len(rel), len(cols) - 1
+
+    def rec(combo, mask):
+        t = len(combo)
+        if t == k - 1:
+            yield combo + (last,), mask
+            return
+        for c in range(combo[-1] + 1 if combo else 0, last - k + t + 2):
+            y = cols[c]
+            sub = _compare(cols[last], y, rel[t][k - 1])
+            for a in range(t):
+                sub &= _compare(y, cols[combo[a]], rel[a][t])
+            if mask is not None:
+                sub &= mask
+            yield from rec(combo + (c,), sub)
+
+    return rec((), None)
 
 
-def _plan(p):
-    """What every growth step for pattern entries p needs: (rel, start, stop).
+def _run_lengths(first):
+    """Lengths of the runs of rows that start where `first` is set."""
+    edges = np.concatenate((first, [True])).nonzero()[0]
+    return edges[1:] - edges[:-1]
 
-    rel[a][b] is the sign of p[b] - p[a] over the pattern head; start and
-    stop are the ends of the forbidden interval (see _interval_ends).
+
+def _forbidden(E, plan):
+    """Bit words of the next values that complete an occurrence, per row of E.
+
+    Returns a (rows, words) uint64 array in which bit v % 64 of word v // 64
+    of row r is set when row r followed by v contains the pattern. The rows
+    of E must be distinct and in lexicographic order, as every layer is.
     """
-    k = len(p) - 1
-    rel = [[_sign(p[b] - p[a]) for b in range(k)] for a in range(k)]
-    return (rel,) + _interval_ends(p)
-
-
-def _keep_mask(E, s, rel, start, stop):
-    """keep[v, r]: whether row r of E followed by the value v still avoids.
-
-    E holds avoiders as rows, column-major; its dtype must hold s - 1.
-    """
+    rel, ends, words = plan
     rows, m = E.shape
-    cols = [E[:, j] for j in range(m)]
-    # diff[v, r] is +1 where an interval of row r starts and -1 just past
-    # its end; a cell gets at most one of each per column choice.
-    diff = np.zeros((s + 1, rows), dtype=_int_dtype(comb(m, len(rel))))
-    for combo, mask in _head_matches(cols, rel):
-        idx = mask.nonzero()[0] if mask is not None else np.arange(rows)
-        # Old entries are below their bound, which is below the largest
-        # one, so x + 1 still fits the storage dtype.
-        if start is None:
-            diff[0, idx] += 1
-        else:
-            diff[cols[combo[start[0]]][idx] + start[1], idx] += 1
-        if stop is not None:
-            diff[cols[combo[stop[0]]][idx] + stop[1], idx] -= 1
-    # The running sum counts the intervals covering each (v, row) child.
-    np.add.accumulate(diff, axis=0, out=diff)
-    return diff[:s] == 0
+    k = len(rel)
+    if not k:  # a one-letter pattern: every value completes it
+        return np.full((rows, words), _LOW[-1], dtype=_BITS)
+    cols = E.T
+    # first[r]: row r is the first of its length-(t-1) prefix.
+    first = np.zeros(rows, dtype=bool)
+    first[:1] = True
+    bits = None  # per distinct length-t prefix, from level k on
+    for t in range(1, m + 1):
+        if t < m:
+            change = np.empty(rows, dtype=bool)
+            change[:1] = True
+            np.not_equal(cols[t - 1, 1:], cols[t - 1, :-1], out=change[1:])
+            change |= first
+        if t >= k:  # an occurrence ending at column t - 1 needs k - 1 before it
+            if t < m:
+                reps = change.nonzero()[0]
+                sub = cols[:t].take(reps, axis=1)
+            else:  # each row is its own length-m prefix
+                reps, sub = slice(None), cols
+            if bits is None:
+                bits = np.zeros((sub.shape[1], words), dtype=_BITS)
+            else:
+                bits = bits.repeat(_run_lengths(first[reps]), axis=0)
+            for combo, mask in _head_matches(sub, rel):
+                if mask is None:
+                    idx = slice(None)
+                else:
+                    idx = mask.nonzero()[0]
+                    if not len(idx):
+                        continue
+                new = None
+                for pos, table, base in ends:
+                    index = np.add.outer(sub[combo[pos], idx], base)
+                    side = table.take(index, mode="clip")
+                    new = side if new is None else new & side
+                bits[idx] |= new
+        if t < m:
+            first = change
+    if bits is None:  # rows shorter than the pattern head
+        return np.zeros((rows, words), dtype=_BITS)
+    return bits
 
 
-def _grow(E, s, keep):
-    """The next layer: each row of E followed by each value kept for it.
+def _bits_below(forbidden, s):
+    """(rows, s) uint8 matrix of the forbidden bits of the values below s."""
+    return np.unpackbits(forbidden.view(np.uint8), axis=1, count=s, bitorder="little")
+
+
+def _grow(E, s, forbidden):
+    """The next layer: each row of E followed by each value below s not forbidden.
 
     Lexicographic order, column-major storage and E's dtype carry over.
     """
     rows, m = E.shape
-    counts = np.add.reduce(keep, axis=0)
-    keep = np.ascontiguousarray(keep.T)
+    keep = _bits_below(forbidden, s).view(bool)
+    np.logical_not(keep, out=keep)
+    counts = np.add.reduce(keep, axis=1)
     out = np.empty((int(counts.sum()), m + 1), dtype=E.dtype, order="F")
     for j in range(m):
         out[:, j] = E[:, j].repeat(counts)
     out[:, m] = np.arange(s, dtype=E.dtype)[None].repeat(rows, 0)[keep]
     return out
+
+
+def _count_next(forbidden, s):
+    """Rows of the next layer, whose forbidden bits are `forbidden`, never built."""
+    return forbidden.shape[0] * s - int(_bits_below(forbidden, s).sum())
 
 
 def _empty_layer(bounds):
@@ -144,11 +231,35 @@ def avoider_steps(bounds, pattern):
     of I_{S_m}(pattern), in lexicographic order, stored column-major.
     """
     bounds = validate_bounds(bounds)
-    plan = _plan(_pattern_entries(pattern))
+    plan = _plan(pattern, bounds)
     E = _empty_layer(bounds)
     for s in bounds:
-        E = _grow(E, s, _keep_mask(E, s, *plan))
+        E = _grow(E, s, _forbidden(E, plan))
         yield E
+
+
+def count_steps(bounds, pattern):
+    """Yield |I_{S_m}(pattern)| for each prefix S_m of the bound set, in order.
+
+    The lengths before the last are read from `avoider_steps`; the last is
+    counted from the forbidden bits of its parent layer and never built.
+    """
+    bounds = validate_bounds(bounds)
+    if not bounds:
+        return
+    if not isinstance(pattern, Pattern):
+        pattern = Pattern(tuple(pattern))
+    E = _empty_layer(bounds)
+    steps = avoider_steps(bounds, pattern)
+    for E in islice(steps, len(bounds) - 1):
+        yield E.shape[0]
+    steps.close()
+    yield _count_next(_forbidden(E, _plan(pattern, bounds)), bounds[-1])
+
+
+def avoider_counts(bounds, pattern):
+    """|I_{S_m}(pattern)| for every prefix S_m of the bound set."""
+    return list(count_steps(bounds, pattern))
 
 
 def subset_total(ground, pattern):
@@ -156,22 +267,21 @@ def subset_total(ground, pattern):
 
     A depth-first walk over the subset lattice: each subset, taken in
     increasing order, is its parent's bounds plus one larger bound, so its
-    layer is one growth step from the parent's layer. That is one step per
-    nonempty subset instead of one per entry of every subset. Subsets
-    ending in the largest bound have no children, so only their rows are
-    counted and their layers are never built.
+    layer is one growth step from the parent's layer, and one set of
+    forbidden bits serves every child. Subsets ending in the largest bound
+    have no children, so only their rows are counted and their layers are
+    never built.
     """
     ground = validate_bounds(ground)
-    plan = _plan(_pattern_entries(pattern))
+    if not ground:
+        return 1
+    plan = _plan(pattern, ground)
 
     def walk(E, lo):
-        total = E.shape[0]
-        for i in range(lo, len(ground)):
-            keep = _keep_mask(E, ground[i], *plan)
-            if i + 1 < len(ground):
-                total += walk(_grow(E, ground[i], keep), i + 1)
-            else:
-                total += int(np.count_nonzero(keep))
+        forbidden = _forbidden(E, plan)
+        total = E.shape[0] + _count_next(forbidden, ground[-1])
+        for i in range(lo, len(ground) - 1):
+            total += walk(_grow(E, ground[i], forbidden), i + 1)
         return total
 
     return walk(_empty_layer(ground), 0)
@@ -183,11 +293,6 @@ def avoider_matrix(bounds, pattern):
     for E in avoider_steps(bounds, pattern):
         pass
     return E
-
-
-def avoider_counts(bounds, pattern):
-    """|I_{S_m}(pattern)| for every prefix S_m of the bound set."""
-    return [E.shape[0] for E in avoider_steps(bounds, pattern)]
 
 
 def full_matrix(bounds):

@@ -292,9 +292,10 @@ def check_0021_conjecture(n_max, counts=None):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if counts is None:
-        from .counting import count_avoiders_n
+        from . import engine
+        from .core import ordinary_bounds
 
-        counts = [count_avoiders_n(n, (0, 0, 2, 1)) for n in range(1, n_max + 1)]
+        counts = engine.avoider_counts(ordinary_bounds(n_max), (0, 0, 2, 1))
     counts = list(counts)
     a = RationalSeries([0] + counts, n_max, "ordinary")
     lhs = ((1 - a) * (1 + a) ** 2).reciprocal()

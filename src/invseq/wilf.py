@@ -76,14 +76,13 @@ def first_divergence(p, q, n_max):
     """Smallest n <= n_max with |I_n(p)| != |I_n(q)|, or None.
 
     Counts are grown incrementally and compared per length, so the search
-    stops at the first difference.
+    stops at the first difference; the length n_max is only counted.
     """
     p = p if isinstance(p, Pattern) else Pattern(tuple(p))
     q = q if isinstance(q, Pattern) else Pattern(tuple(q))
     bounds = ordinary_bounds(n_max)
-    steps_p = engine.avoider_steps(bounds, p)
-    steps_q = engine.avoider_steps(bounds, q)
-    for n, (ep, eq) in enumerate(zip(steps_p, steps_q), start=1):
-        if ep.shape[0] != eq.shape[0]:
+    counts = zip(engine.count_steps(bounds, p), engine.count_steps(bounds, q))
+    for n, (a, b) in enumerate(counts, start=1):
+        if a != b:
             return n
     return None

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from invseq import canonical_patterns, count_avoiders, enumerate_avoiders
 from invseq.core import contains, ordinary_bounds
-from invseq.engine import _dtype_for, avoider_steps, contains_mask
+from invseq.engine import _dtype_for, avoider_counts, avoider_steps, contains_mask
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
@@ -15,6 +15,26 @@ def test_every_layer_matches_reference(length):
         for m, E in enumerate(avoider_steps(ordinary_bounds(7), p), start=1):
             want = list(enumerate_avoiders(ordinary_bounds(m), p))
             assert [tuple(row) for row in E.tolist()] == want, (str(p), m)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_counts_match_reference(length):
+    # The last length is counted from forbidden bits, never built as a layer.
+    for p in canonical_patterns(length):
+        want = [sum(1 for _ in enumerate_avoiders(ordinary_bounds(m), p))
+                for m in range(1, 8)]
+        assert avoider_counts(ordinary_bounds(7), p) == want, str(p)
+
+
+@pytest.mark.parametrize("bounds", [(2, 65, 66), (2, 64, 65), (3, 65, 130)])
+@pytest.mark.parametrize("pattern", [(1, 0), (0, 1), (0, 0), (1, 0, 1)])
+def test_bit_words_past_64(bounds, pattern):
+    # Two or more entries reach past the first 64-value word, so forbidden
+    # intervals start, end or lie inside a later word.
+    want = list(enumerate_avoiders(bounds, pattern))
+    layers = list(avoider_steps(bounds, pattern))
+    assert [tuple(row) for row in layers[-1].tolist()] == want
+    assert avoider_counts(bounds, pattern) == [E.shape[0] for E in layers]
 
 
 @pytest.mark.parametrize(
@@ -40,7 +60,9 @@ def test_bound_past_int16_counts_exactly():
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(st.integers(1, 4), max_size=2),
-    st.sampled_from([126, 127, 128, 129, 32766, 32767, 32768, 32769]),
+    st.sampled_from(
+        [63, 64, 65, 126, 127, 128, 129, 32766, 32767, 32768, 32769, 40000]
+    ),
     st.sampled_from([(1, 0), (0, 1), (0, 0), (1, 0, 1), (0, 0, 1), (2, 1, 0)]),
 )
 def test_engines_agree_near_dtype_limits(head, top, pattern):

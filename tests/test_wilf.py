@@ -64,6 +64,11 @@ class TestFirstDivergence:
     def test_known_pair(self):
         assert first_divergence((1, 0, 2), (1, 2, 0), 6) == 4
 
+    def test_divergence_at_n_max(self):
+        # The last length is only counted, never built.
+        assert first_divergence((1, 0, 2), (1, 2, 0), 4) == 4
+        assert first_divergence((1, 0, 2), (1, 2, 0), 3) is None
+
     def test_equal_within_range(self):
         assert first_divergence((2, 0, 1, 1), (2, 1, 1, 0), 8) is None
 
