@@ -103,6 +103,14 @@ def _threads(args):
     return os.cpu_count() or 1
 
 
+def _capped_nmax(args, default, cap):
+    """--nmax, or the default when it is not given; above cap is an error."""
+    nmax = args.nmax or default
+    if nmax > cap:
+        raise UsageError(f"--nmax {nmax} exceeds the cap {cap} of this check")
+    return nmax
+
+
 def _subsets(ground):
     for r in range(len(ground) + 1):
         yield from combinations(ground, r)
@@ -259,7 +267,7 @@ def cmd_oeis_compare(args):
 
 
 def _check_thm31(args, report):
-    nmax = min(args.nmax or 7, 8)
+    nmax = _capped_nmax(args, 7, 8)
     for word in ("111", "212", "221", "312", "321"):
         suffix = tuple(int(c) for c in word)
         full = Pattern((0,) + suffix)
@@ -296,7 +304,7 @@ _S_GROUPS = [
 
 
 def _check_s_equiv(args, report):
-    smax = min(args.nmax or 8, 8)
+    smax = _capped_nmax(args, 8, 8)
     for name, group in _S_GROUPS:
         ok = True
         for s in _subsets(range(1, smax + 1)):
@@ -319,7 +327,7 @@ _REFINED_GROUPS = [
 
 def _refined_check(name, group, mode):
     def run(args, report):
-        smax = min(args.nmax or 7, 7)
+        smax = _capped_nmax(args, 7, 7)
         ok = True
         for s in _subsets(range(1, smax + 1)):
             tabs = [counting.refined_table(s, p, mode) for p in group]
@@ -340,16 +348,19 @@ def _check_bijection(args, report):
     for n in range(nmax + 1):
         a = avoider_matrix(ordinary_bounds(n), bijections.P3210)
         b = avoider_matrix(ordinary_bounds(n), bijections.P3201)
+        targets = {tuple(int(x) for x in row) for row in b}
         images = set()
-        ok = a.shape[0] == b.shape[0]
+        ok = True
         for row in a:
             e = tuple(int(x) for x in row)
             f = bijections.map_3210_to_3201(e)
-            if bijections.map_3201_to_3210(f) != e or sorted(f) != sorted(e):
+            layers = bijections.maxima_layers(e)
+            if (bijections.map_3201_to_3210(f) != e or sorted(f) != sorted(e)
+                    or any(f[i] != e[i] for i in layers.x + layers.y)):
                 ok = False
                 break
             images.add(f)
-        ok = ok and len(images) == b.shape[0]
+        ok = ok and images == targets
         report.add(n=n, avoiders_3210=a.shape[0], avoiders_3201=b.shape[0], ok=ok)
         report.verdict(f"bijection-3210 n={n}", ok)
 
@@ -479,6 +490,8 @@ def cmd_check(args):
         raise UsageError(
             f"unknown check {args.name!r}; available: {', '.join(sorted(_CHECKS))}"
         )
+    if args.nmax is not None and args.nmax < 1:
+        raise UsageError("--nmax must be >= 1")
     fn(args, report)
     return report
 

@@ -7,6 +7,7 @@ All sequences are plain tuples of nonnegative integers; positions are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def _sign(d):
@@ -136,6 +137,12 @@ def order_isomorphic(a, b):
     )
 
 
+@lru_cache(maxsize=256)
+def _relations(p):
+    """rel[t][a] = sign(p[t] - p[a]) for a < t, for the canonical entries p."""
+    return tuple(tuple(_sign(p[t] - p[a]) for a in range(t)) for t in range(len(p)))
+
+
 def contains(seq, pattern):
     """True iff some subsequence of seq is order-isomorphic to pattern."""
     seq = _raw(seq)
@@ -143,14 +150,19 @@ def contains(seq, pattern):
     L, n = len(p), len(seq)
     if n < L:
         return False
+    rel = _relations(p)
     chosen = []
 
     def extend(start, t):
         if t == L:
             return True
+        need = rel[t]
         for i in range(start, n - (L - t) + 1):
             x = seq[i]
-            if all(_sign(x - chosen[a]) == _sign(p[t] - p[a]) for a in range(t)):
+            for c, r in zip(chosen, need):
+                if (x > c) - (x < c) != r:
+                    break
+            else:
                 chosen.append(x)
                 if extend(i + 1, t + 1):
                     return True
@@ -178,16 +190,23 @@ def extend_avoids(seq, nxt, pattern):
     if L == 1:
         return False
     last = L - 1
+    rel = _relations(p)
+    to_last = rel[last]
     chosen = []
 
     def pick(start, t):
         if t == last:
             return True
+        need = rel[t]
+        r_last = to_last[t]
         for i in range(start, n - (last - t) + 1):
             x = seq[i]
-            if _sign(nxt - x) != _sign(p[last] - p[t]):
+            if (nxt > x) - (nxt < x) != r_last:
                 continue
-            if all(_sign(x - chosen[a]) == _sign(p[t] - p[a]) for a in range(t)):
+            for c, r in zip(chosen, need):
+                if (x > c) - (x < c) != r:
+                    break
+            else:
                 chosen.append(x)
                 if pick(i + 1, t + 1):
                     return True

@@ -6,7 +6,6 @@ inductions.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -107,22 +106,27 @@ def count_binary_avoiders_bruteforce(j, k, pattern):
     """Exhaustive count of pattern-avoiding binary words with j zeros, k ones.
 
     The pattern must be over {0,1} with exactly one zero; this is the
-    oracle for binary_avoider_formula.
+    oracle for binary_avoider_formula. Words grow one letter at a time and
+    a prefix that contains the pattern is never extended (avoidance is
+    hereditary under prefixes), so every avoider is reached exactly once.
     """
-    p = _pattern_entries(pattern)
-    if len(p) < 2 or set(p) - {0, 1} or p.count(0) != 1:
+    p = Pattern(_pattern_entries(pattern))
+    if len(p) < 2 or set(p) - {0, 1} or p.entries.count(0) != 1:
         raise ValueError("pattern must be binary with exactly one zero")
-    from .core import contains
+    if j < 0 or k < 0:
+        raise ValueError("j and k must be nonnegative")
 
-    total = 0
-    n = j + k
-    for ones in combinations(range(n), k):
-        word = [0] * n
-        for i in ones:
-            word[i] = 1
-        if not contains(word, p):
-            total += 1
-    return total
+    def rec(word, zeros, ones):
+        if not zeros and not ones:
+            return 1
+        total = 0
+        if zeros and extend_avoids(word, 0, p):
+            total += rec(word + (0,), zeros - 1, ones)
+        if ones and extend_avoids(word, 1, p):
+            total += rec(word + (1,), zeros, ones - 1)
+        return total
+
+    return rec((), j, k)
 
 
 def _zero_positions(e):

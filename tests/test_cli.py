@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from invseq import bijections
 from invseq.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -144,6 +145,63 @@ class TestChecks:
         code, _, err = run(["check", "thm31", "--nmax", "4"], capsys)
         assert code == 0
         assert "FAIL" not in err
+
+    @pytest.mark.parametrize("name, cap", [
+        ("thm31", 8),
+        ("s-equiv", 8),
+        ("refined-terminal", 7),
+        ("refined-initial", 7),
+        ("refined-initial2", 7),
+        ("refined-noninv", 7),
+    ])
+    def test_nmax_above_cap_rejected(self, capsys, name, cap):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", name, "--nmax", str(cap + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cap {cap}" in err
+        assert "PASS" not in err
+
+    @pytest.mark.parametrize("name", ["lemma-binary", "thm31", "bijection-3210"])
+    @pytest.mark.parametrize("nmax", ["0", "-1"])
+    def test_nmax_below_one_rejected(self, capsys, name, nmax):
+        # a range that runs no case would otherwise pass vacuously
+        with pytest.raises(SystemExit) as exc:
+            main(["check", name, "--nmax", nmax])
+        assert exc.value.code == 2
+        assert "PASS" not in capsys.readouterr().err
+
+    def test_bijection(self, capsys):
+        code, out, err = run(["check", "bijection-3210", "--nmax", "7"], capsys)
+        assert code == 0
+        assert "FAIL" not in err
+        assert rows_csv(out)[-1]["avoiders_3201"] == "5034"
+
+    def test_bijection_checks_images(self, capsys, monkeypatch):
+        # The identity is a round-tripping, multiset- and layer-preserving
+        # bijection of I_n(3210) onto a set of the right size, but at n=7
+        # that set is I_7(3210), not I_7(3201).
+        monkeypatch.setattr(bijections, "map_3210_to_3201", lambda e: e)
+        monkeypatch.setattr(bijections, "map_3201_to_3210", lambda f: f)
+        code, _, err = run(["check", "bijection-3210", "--nmax", "7"], capsys)
+        assert code == 1
+        assert "PASS bijection-3210 n=6" in err
+        assert "FAIL bijection-3210 n=7" in err
+
+    def test_bijection_checks_layers(self, capsys, monkeypatch):
+        # Swapping the images (0,0,1) and (0,1,0) keeps a round-tripping,
+        # multiset-preserving bijection onto I_3(3201), but moves a weak
+        # left-to-right maximum of (0,0,1).
+        swap = {(0, 0, 1): (0, 1, 0), (0, 1, 0): (0, 0, 1)}
+        forward, inverse = bijections.map_3210_to_3201, bijections.map_3201_to_3210
+        monkeypatch.setattr(bijections, "map_3210_to_3201",
+                            lambda e: swap.get(forward(e), forward(e)))
+        monkeypatch.setattr(bijections, "map_3201_to_3210",
+                            lambda f: inverse(swap.get(f, f)))
+        code, _, err = run(["check", "bijection-3210", "--nmax", "3"], capsys)
+        assert code == 1
+        assert "PASS bijection-3210 n=2" in err
+        assert "FAIL bijection-3210 n=3" in err
 
 
 class TestOeisCompare:

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from invseq import (
     Pattern,
     SInvSeq,
+    canonical_patterns,
     contains,
     extend_avoids,
     lehmer_decode,
@@ -15,6 +16,9 @@ from invseq import (
     ordinary_bounds,
 )
 from invseq.core import canonicalize, is_permutation
+
+PATTERNS = [p for length in range(1, 5) for p in canonical_patterns(length)]
+WORDS = st.lists(st.integers(0, 4), max_size=8).map(tuple)
 
 
 def invseqs(n):
@@ -88,6 +92,14 @@ class TestContains:
             )
             assert contains(e, p) == expected
 
+    @given(WORDS)
+    def test_matches_definition(self, w):
+        for p in PATTERNS:
+            expected = any(
+                order_isomorphic(sub, p.entries) for sub in combinations(w, len(p))
+            )
+            assert contains(w, p) == expected
+
     def test_monotone_under_supersequence(self):
         # if a subsequence contains p, so does the full sequence
         e = (0, 1, 0, 2, 2, 1)
@@ -113,6 +125,12 @@ class TestExtendAvoids:
                     assert extend_avoids(e, nxt, pattern) == (
                         not contains(e + (nxt,), pattern)
                     )
+
+    @given(WORDS, st.integers(0, 4))
+    def test_matches_contains_on_words(self, w, nxt):
+        for p in PATTERNS:
+            if not contains(w, p):
+                assert extend_avoids(w, nxt, p) == (not contains(w + (nxt,), p))
 
 
 class TestLehmer:

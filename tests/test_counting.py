@@ -20,6 +20,7 @@ from invseq import (
     terminal_h_repeat,
     theorem31_rhs,
 )
+from invseq import counting, engine
 from invseq.core import contains, ordinary_bounds
 from invseq.counting import _refined_counts, _refined_key
 
@@ -33,6 +34,8 @@ MODES = [
     "non_inversion",
 ]
 PATTERNS = [p for length in range(1, 5) for p in canonical_patterns(length)]
+SINGLE_ZERO = [tuple(0 if i == z else 1 for i in range(ell))
+               for ell in range(2, 6) for z in range(ell)]
 
 
 def per_row_table(rows, mode):
@@ -138,6 +141,33 @@ class TestBinaryFormula:
                     assert binary_avoider_formula(
                         j, k, ell
                     ) == count_binary_avoiders_bruteforce(j, k, p)
+
+    @pytest.mark.parametrize("p", SINGLE_ZERO, ids=lambda p: "".join(map(str, p)))
+    def test_bruteforce_equals_per_word_count(self, p):
+        # the per-word count: every word with j zeros and k ones, tested
+        # in full with contains
+        for j in range(6):
+            for k in range(6):
+                words = (tuple(1 if i in ones else 0 for i in range(j + k))
+                         for ones in combinations(range(j + k), k))
+                assert count_binary_avoiders_bruteforce(j, k, p) == sum(
+                    not contains(w, p) for w in words
+                )
+
+    def test_bruteforce_is_independent(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the brute force must not call this")
+
+        monkeypatch.setattr(counting, "binary_avoider_formula", refuse)
+        for name, fn in vars(engine).copy().items():
+            if callable(fn) and getattr(fn, "__module__", None) == engine.__name__:
+                monkeypatch.setattr(engine, name, refuse)
+        # C(3 + min(4, 2), 3) = 10
+        assert count_binary_avoiders_bruteforce(3, 4, (1, 0, 1, 1)) == 10
+
+    def test_rejects_negative_sizes(self):
+        with pytest.raises(ValueError):
+            count_binary_avoiders_bruteforce(-1, 0, (0, 1))
 
     def test_rejects_nonbinary_pattern(self):
         with pytest.raises(ValueError):
