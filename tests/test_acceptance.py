@@ -1,31 +1,18 @@
 """End-to-end acceptance checks for the library, one per claimed result.
 
-Each check prints a single pass/fail line (run pytest with -s to see them
-interleaved) and asserts exact integer equality; there are no tolerances
-anywhere in this file.
+Criteria 2-14 run the claims of `invseq.claims`, the same definitions
+`invseq check` runs, at the bounds in `CRITERIA`; a bound is never below
+the claim's default `--nmax`. Each check prints a single pass/fail line
+(run pytest with -s to see them interleaved) and asserts exact integer
+equality; there are no tolerances anywhere in this file.
 """
 
 from pathlib import Path
 
-from invseq import (
-    a218225_terms,
-    binary_avoider_formula,
-    c_identity_holds,
-    check_0021_conjecture,
-    classify,
-    count_avoiders,
-    count_avoiders_n,
-    count_binary_avoiders_bruteforce,
-    count_vector,
-    euler_numbers,
-    first_divergence,
-    refined_table,
-    theorem31_rhs,
-)
-from invseq import bijections, trees
+from invseq import classify
 from invseq.bfile import compare_with_bfile, parse_bfile
-from invseq.core import contains, ordinary_bounds
-from invseq.engine import avoider_matrix, contains_mask
+from invseq.claims import CLAIMS
+from invseq.cli import RunReport
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -33,13 +20,6 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def report(num, title, ok):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num:2d}: {title}", flush=True)
     assert ok, f"criterion {num}: {title}"
-
-
-def subsets(ground):
-    from itertools import combinations
-
-    for r in range(len(ground) + 1):
-        yield from combinations(ground, r)
 
 
 def test_01_wilf_sweep_length4():
@@ -64,146 +44,68 @@ def test_01_wilf_sweep_length4():
     report(1, "classify(4, 9) respects every proved equivalence class", ok)
 
 
-def test_02_divergence_of_2001_at_10():
-    d = first_divergence((2, 0, 0, 1), (2, 0, 1, 1), 10)
-    report(2, "first divergence of 2001 vs 2011 is exactly n=10", d == 10)
+CRITERIA = {  # criterion: (nmax, claims)
+    2: (10, ["divergence-2001"]),
+    3: (10, ["conj-3012"]),
+    4: (9, ["euler-000"]),
+    5: (8, ["trees-0000"]),
+    6: (8, ["trees-0111"]),
+    7: (8, ["lemma-binary"]),
+    8: (8, ["thm31"]),
+    9: (8, ["s-equiv"]),
+    10: (7, ["refined-terminal", "refined-initial", "refined-initial2",
+             "refined-noninv"]),
+    11: (8, ["bijection-3210"]),
+    12: (8, ["characterizations"]),
+    13: (11, ["conj-0021"]),
+    14: (6, ["c-identity"]),
+}
 
 
-def test_03_conjectured_3012_equivalence():
-    a = count_vector((3, 0, 1, 2), 10).counts
-    b = count_vector((3, 2, 0, 1), 10).counts
-    report(3, "|I_n(3012)| == |I_n(3201)| for all n <= 10", a == b)
+def run_criterion(num):
+    """Run the claims of criterion num, report its verdict, return the rows."""
+    nmax, names = CRITERIA[num]
+    out = RunReport(f"criterion {num}")
+    for name in names:
+        CLAIMS[name].run(nmax, out)
+    failed = [name for name, ok in out.verdicts if not ok]
+    title = f"{', '.join(names)} at nmax={nmax}"
+    report(num, title + (f"; first failure: {failed[0]}" if failed else ""),
+           out.verdicts and not failed)
+    return out.rows
 
 
-def test_04_euler_numbers():
-    counts = count_vector((0, 0, 0), 9).counts
-    euler = euler_numbers(11)
-    ok = list(counts) == euler[2:11]
-    report(4, "count_vector(000, 9) equals (E_2, ..., E_10) from tan+sec", ok)
+def criterion(num):
+    def test():
+        run_criterion(num)
+    return test
 
 
-def test_05_trees_0000():
-    ok = True
-    for n in range(1, 9):
-        direct = count_avoiders_n(n, (0, 0, 0, 0))
-        ok = ok and direct == trees.count_trees_bounded(n + 1, 3)
-        if n + 1 <= 7:
-            ok = ok and direct == trees.count_trees_bruteforce(n + 1, 3)
-    report(5, "|I_n(0000)| == |L_{n+1,3}| (series and brute force), n <= 8", ok)
+# The test names predate the shared claims; they are kept so that a
+# criterion's history stays under one name.
+test_02_divergence_of_2001_at_10 = criterion(2)
+test_03_conjectured_3012_equivalence = criterion(3)
+test_04_euler_numbers = criterion(4)
+test_05_trees_0000 = criterion(5)
+test_07_binary_word_formula = criterion(7)
+test_08_subset_sum_identity = criterion(8)
+test_09_s_level_equivalences = criterion(9)
+test_10_refined_tables = criterion(10)
+test_11_bijection_3210_3201 = criterion(11)
+test_12_characterizations = criterion(12)
+test_13_functional_equation_0021 = criterion(13)
+test_14_c_identity = criterion(14)
 
 
 def test_06_trees_0111():
-    ok = True
-    values = []
-    for n in range(1, 9):
-        direct = count_avoiders_n(n, (0, 1, 1, 1))
-        values.append(direct)
-        ok = ok and direct == trees.count_trees_root_unbounded(n + 1, 2)
-        if n + 1 <= 7:
-            ok = ok and direct == trees.count_trees_bruteforce(
-                n + 1, 2, root_unbounded=True
-            )
-    bf = parse_bfile(DATA / "b000772.txt")
-    res = compare_with_bfile(values, bf, offset=1)
-    ok = ok and res["verdict"] == "PASS" and res["overlap"] == 8
-    report(6, "|I_n(0111)| == |L'_{n+1,2}| and matches the A000772 prefix", ok)
+    values = [row["avoiders"] for row in run_criterion(6)]
+    res = compare_with_bfile(values, parse_bfile(DATA / "b000772.txt"), offset=1)
+    report(6, "|I_n(0111)| matches the A000772 prefix",
+           res["verdict"] == "PASS" and res["overlap"] == len(values))
 
 
-def test_07_binary_word_formula():
-    ok = True
-    for ell in range(2, 6):
-        counts_by_jk = {}
-        for zero_pos in range(ell):
-            p = tuple(0 if i == zero_pos else 1 for i in range(ell))
-            for j in range(9):
-                for k in range(9):
-                    brute = count_binary_avoiders_bruteforce(j, k, p)
-                    ok = ok and brute == binary_avoider_formula(j, k, ell)
-                    # also independent of where the zero sits
-                    prev = counts_by_jk.setdefault((j, k), brute)
-                    ok = ok and prev == brute
-    report(7, "binary formula C(j+min(k,l-2), j) matches brute force, l <= 5", ok)
-
-
-def test_08_subset_sum_identity():
-    ok = True
-    for word in ("0111", "0212", "0221", "0312", "0321"):
-        p = tuple(int(c) for c in word)
-        suffix = p[1:]
-        for n in range(1, 9):
-            ok = ok and count_avoiders_n(n, p) == theorem31_rhs(n, suffix)
-    report(8, "subset-sum identity for 0111/0212/0221/0312/0321, n <= 8", ok)
-
-
-def test_09_s_level_equivalences():
-    groups = [
-        [(2, 1, 0), (2, 0, 1)],
-        [(1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)],
-        [(1, 0, 1, 2), (1, 1, 0, 2)],
-        [(2, 0, 1, 1), (2, 1, 0, 1), (2, 1, 1, 0)],
-        [(2, 2, 0, 1), (2, 2, 1, 0)],
-        [(2, 3, 0, 1), (2, 3, 1, 0)],
-    ]
-    ok = True
-    for s in subsets(range(1, 9)):
-        for group in groups:
-            counts = {count_avoiders(s, p) for p in group}
-            ok = ok and len(counts) == 1
-    report(9, "S-level count equalities for all S subset of [8]", ok)
-
-
-def test_10_refined_tables():
-    jobs = [
-        ([(1, 0, 1, 2), (1, 1, 0, 2)], ("terminal", 1)),
-        ([(2, 0, 1, 1), (2, 1, 0, 1), (2, 1, 1, 0)], ("initial", 1)),
-        ([(2, 2, 0, 1), (2, 2, 1, 0)], ("initial", 2)),
-        ([(2, 3, 0, 1), (2, 3, 1, 0)], "non_inversion"),
-    ]
-    ok = True
-    for s in subsets(range(1, 8)):
-        for group, mode in jobs:
-            tables = [refined_table(s, p, mode) for p in group]
-            ok = ok and all(t == tables[0] for t in tables[1:])
-    report(10, "refined tables agree entrywise for all S subset of [7]", ok)
-
-
-def test_11_bijection_3210_3201():
-    ok = True
-    for n in range(9):
-        a = avoider_matrix(ordinary_bounds(n), bijections.P3210)
-        b = avoider_matrix(ordinary_bounds(n), bijections.P3201)
-        targets = {tuple(int(x) for x in row) for row in b}
-        images = set()
-        for row in a:
-            e = tuple(int(x) for x in row)
-            f = bijections.map_3210_to_3201(e)
-            layers = bijections.maxima_layers(e)
-            ok = ok and sorted(f) == sorted(e)
-            ok = ok and all(f[i] == e[i] for i in layers.x + layers.y)
-            ok = ok and bijections.map_3201_to_3210(f) == e
-            images.add(f)
-        ok = ok and images == targets
-    report(11, "3210 -> 3201 map is a structure-preserving bijection, n <= 8", ok)
-
-
-def test_12_characterizations():
-    ok = True
-    for n in range(9):
-        e_mat, m3210 = contains_mask(ordinary_bounds(n), bijections.P3210)
-        _, m3201 = contains_mask(ordinary_bounds(n), bijections.P3201)
-        for row, c0, c1 in zip(e_mat, m3210, m3201):
-            e = tuple(int(x) for x in row)
-            ok = ok and bijections.is_3210_by_partition(e) == (not c0)
-            ok = ok and bijections.is_3201_by_characterization(e) == (not c1)
-    report(12, "layer/prefix characterizations match containment, n <= 8", ok)
-
-
-def test_13_functional_equation_0021():
-    ok, result = check_0021_conjecture(11)
-    ok = ok and result["counts"][:8] == a218225_terms(8)
-    report(13, "0021 functional equation holds modulo x^12 (n <= 11)", ok)
-
-
-def test_14_c_identity():
-    ok = all(c_identity_holds(k) for k in range(2, 7))
-    report(14, "rewritten-ODE polynomial identity holds for k = 2..6", ok)
+def test_bounds_cover_cli_defaults():
+    bounds = {name: nmax for nmax, names in CRITERIA.values() for name in names}
+    for name, claim in CLAIMS.items():
+        assert 1 <= claim.default <= claim.limit, name
+        assert claim.default <= bounds[name] <= claim.limit, name

@@ -204,6 +204,71 @@ class TestChecks:
         assert "FAIL bijection-3210 n=3" in err
 
 
+    @pytest.mark.parametrize("nmax", ["9", "10"])
+    def test_divergence_below_and_at_ten(self, capsys, nmax):
+        # 2001 and 2011 agree through n=9, so no divergence is the answer there
+        code, out, err = run(["check", "divergence-2001", "--nmax", nmax], capsys)
+        assert code == 0
+        assert "PASS divergence-2001" in err
+        assert rows_csv(out)[0]["first_divergence"] == ("10" if nmax == "10" else "")
+
+    def test_c_identity_nmax_is_largest_k(self, capsys):
+        code, _, err = run(["check", "c-identity", "--nmax", "3"], capsys)
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("PASS")] == [
+            "PASS c-identity k=2", "PASS c-identity k=3",
+        ]
+        # k starts at 2, so --nmax 1 would run no case
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "c-identity", "--nmax", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name, nmax", [
+        ("characterizations", 10),
+        ("bijection-3210", 9),
+        ("lemma-binary", 10),
+        ("trees-0000", 12),
+        ("trees-0111", 12),
+        ("euler-000", 13),
+        ("c-identity", 9),
+        ("conj-3012", 12),
+        ("conj-0021", 13),
+        ("divergence-2001", 11),
+    ])
+    def test_long_check_needs_allow_long(self, capsys, name, nmax):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", name, "--nmax", str(nmax)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cap {nmax - 1}" in err and "--allow-long" in err
+        assert "PASS" not in err
+
+    def test_allow_long_lifts_the_cap(self, capsys):
+        code, _, err = run(["check", "thm31", "--nmax", "9", "--allow-long"], capsys)
+        assert code == 0
+        assert "PASS thm31 0321 n=9" in err
+        assert "FAIL" not in err
+
+
+class TestFlags:
+    def test_threads_only_on_classify(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bijection", "--seq", "0,1", "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_allow_long_only_where_guarded(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--kind", "tansec", "--order", "3", "--allow-long"])
+        assert exc.value.code == 2
+
+    def test_inv_selector_guarded(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis-compare", "--seq", "inv-0102", "--bfile",
+                  str(DATA / "b218225.txt"), "--nmax", "13"])
+        assert exc.value.code == 2
+        assert "--allow-long" in capsys.readouterr().err
+
+
 class TestOeisCompare:
     def test_bell_passes(self, capsys):
         code, out, err = run(
