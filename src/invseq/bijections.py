@@ -139,7 +139,7 @@ def map_3210_to_3201(e, tie="dominated"):
     return tuple(f)
 
 
-def map_3201_to_3210(f, tie="dominated"):
+def map_3201_to_3210(f):
     """Inverse of map_3210_to_3201: recompute the layers on f and reassign
     the leftover multiset in weakly increasing order (the order forced on
     the third layer of a 3210-avoider)."""

@@ -90,18 +90,6 @@ def _guard_long(args, cells, what):
         )
 
 
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("INVSEQ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"bad INVSEQ_THREADS value {env!r}")
-    return os.cpu_count() or 1
-
-
 # -- subcommands ----------------------------------------------------------
 
 
@@ -131,10 +119,10 @@ def cmd_count(args):
 
 def cmd_classify(args):
     report = RunReport("classify")
-    if args.length < 1 or args.nmax < 1:
-        raise UsageError("--length and --nmax must be >= 1")
+    if args.length < 1 or args.nmax < 1 or args.threads < 1:
+        raise UsageError("--length, --nmax and --threads must be >= 1")
     _guard_long(args, prod(range(1, args.nmax + 1)), "classification sweep")
-    classes = wilf.classify(args.length, args.nmax, threads=_threads(args))
+    classes = wilf.classify(args.length, args.nmax, threads=args.threads)
     for idx, cls in enumerate(classes):
         report.add(
             cls=idx,
@@ -227,6 +215,8 @@ def _sel_boxes3(nmax):
 
 def _computed_sequence(args):
     sel, nmax = args.seq, args.nmax
+    if nmax < 1:
+        raise UsageError("--nmax must be >= 1")
     if sel in _SEQ_SELECTORS:
         return _SEQ_SELECTORS[sel](nmax)
     if sel.startswith("inv-"):
@@ -298,7 +288,7 @@ def build_parser():
     p = sub.add_parser("classify", help="empirical Wilf classes")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     _add_common(p, guarded=True)
     p.set_defaults(fn=cmd_classify)
 
@@ -334,7 +324,7 @@ def build_parser():
     p.add_argument("--bfile", required=True)
     p.add_argument("--offset", type=int, default=None)
     p.add_argument("--nmax", type=int, default=10,
-                   help="number of computed terms")
+                   help="largest n computed")
     _add_common(p, guarded=True)
     p.set_defaults(fn=cmd_oeis_compare)
 

@@ -73,10 +73,9 @@ class Pattern:
         return ",".join(str(v) for v in self.entries)
 
 
-def _pattern_entries(pattern):
-    if isinstance(pattern, Pattern):
-        return pattern.entries
-    return Pattern(tuple(pattern)).entries
+def as_pattern(x):
+    """x itself if it is a Pattern, else the Pattern its entries spell."""
+    return x if isinstance(x, Pattern) else Pattern(tuple(x))
 
 
 def validate_bounds(bounds):
@@ -143,54 +142,17 @@ def _relations(p):
     return tuple(tuple(_sign(p[t] - p[a]) for a in range(t)) for t in range(len(p)))
 
 
-def contains(seq, pattern):
-    """True iff some subsequence of seq is order-isomorphic to pattern."""
-    seq = _raw(seq)
-    p = _pattern_entries(pattern)
-    L, n = len(p), len(seq)
-    if n < L:
-        return False
-    rel = _relations(p)
-    chosen = []
+def _completes(seq, n, nxt, rel):
+    """True iff seq[:n] followed by nxt holds an occurrence ending at nxt.
 
-    def extend(start, t):
-        if t == L:
-            return True
-        need = rel[t]
-        for i in range(start, n - (L - t) + 1):
-            x = seq[i]
-            for c, r in zip(chosen, need):
-                if (x > c) - (x < c) != r:
-                    break
-            else:
-                chosen.append(x)
-                if extend(i + 1, t + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, 0)
-
-
-def avoids(seq, pattern):
-    return not contains(seq, pattern)
-
-
-def extend_avoids(seq, nxt, pattern):
-    """Given seq avoiding pattern, does seq + (nxt,) still avoid it?
-
-    Only subsequences ending at the new entry need checking; avoidance is
-    hereditary under prefixes.
+    rel is the pattern's relation table (see _relations). The search picks
+    the positions of the pattern head p[:-1] in seq[:n], left to right;
+    each choice must stand in the required relation to nxt and to every
+    value picked before it.
     """
-    seq = _raw(seq)
-    p = _pattern_entries(pattern)
-    L, n = len(p), len(seq)
-    if n + 1 < L:
-        return True
-    if L == 1:
+    last = len(rel) - 1
+    if n < last:
         return False
-    last = L - 1
-    rel = _relations(p)
     to_last = rel[last]
     chosen = []
 
@@ -213,7 +175,33 @@ def extend_avoids(seq, nxt, pattern):
                 chosen.pop()
         return False
 
-    return not pick(0, 0)
+    return pick(0, 0)
+
+
+def contains(seq, pattern):
+    """True iff some subsequence of seq is order-isomorphic to pattern.
+
+    An occurrence ends at some entry, so seq contains the pattern iff some
+    entry completes an occurrence after the entries before it.
+    """
+    seq = _raw(seq)
+    rel = _relations(as_pattern(pattern).entries)
+    return any(_completes(seq, i, seq[i], rel) for i in range(len(rel) - 1, len(seq)))
+
+
+def avoids(seq, pattern):
+    return not contains(seq, pattern)
+
+
+def extend_avoids(seq, nxt, pattern):
+    """Given seq avoiding pattern, does seq + (nxt,) still avoid it?
+
+    Only subsequences ending at the new entry need checking; avoidance is
+    hereditary under prefixes.
+    """
+    seq = _raw(seq)
+    rel = _relations(as_pattern(pattern).entries)
+    return not _completes(seq, len(seq), nxt, rel)
 
 
 def is_permutation(perm):

@@ -12,8 +12,8 @@ import numpy as np
 
 from .core import (
     Pattern,
-    _pattern_entries,
     _raw,
+    as_pattern,
     extend_avoids,
     ordinary_bounds,
     validate_bounds,
@@ -29,7 +29,7 @@ def enumerate_avoiders(bounds, pattern):
     revisiting a rejected prefix).
     """
     bounds = validate_bounds(bounds)
-    p = Pattern(_pattern_entries(pattern))
+    p = as_pattern(pattern)
     seq = []
 
     def rec(i):
@@ -110,7 +110,7 @@ def count_binary_avoiders_bruteforce(j, k, pattern):
     a prefix that contains the pattern is never extended (avoidance is
     hereditary under prefixes), so every avoider is reached exactly once.
     """
-    p = Pattern(_pattern_entries(pattern))
+    p = as_pattern(pattern)
     if len(p) < 2 or set(p) - {0, 1} or p.entries.count(0) != 1:
         raise ValueError("pattern must be binary with exactly one zero")
     if j < 0 or k < 0:

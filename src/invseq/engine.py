@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
+from math import prod
 
 import numpy as np
 
-from .core import Pattern, _pattern_entries, _sign, validate_bounds
+from .core import _relations, as_pattern, validate_bounds
 
 _INT_DTYPES = [(np.iinfo(dt).max, dt) for dt in (np.int8, np.int16, np.int32)]
 
@@ -77,22 +78,23 @@ def _interval_ends(p):
 
 def _plan(pattern, bounds):
     """What every growth step for `pattern` over `bounds` needs (see _word_plan)."""
-    return _word_plan(_pattern_entries(pattern), -(-max(bounds, default=1) // _WORD))
+    return _word_plan(as_pattern(pattern).entries, -(-max(bounds, default=1) // _WORD))
 
 
 @lru_cache(maxsize=64)
 def _word_plan(p, words):
     """(rel, ends, words) for pattern entries p and `words` uint64 words per row.
 
-    rel[a][b] is the sign of p[b] - p[a] over the pattern head. ends has
-    one (head position, table, base) for each end of the forbidden interval
-    (see _interval_ends): for the matched head value x at that position,
+    rel is core's relation table cut to the pattern head: rel[t][a] is the
+    sign of p[t] - p[a] for a < t < len(p) - 1. ends has one (head
+    position, table, base) for each end of the forbidden interval (see
+    _interval_ends): for the matched head value x at that position,
     table.take(x + base, mode="clip") are the words of the values on the
     interval's side of that end, so their AND is the interval. base is
     read-only, since every caller shares it.
     """
     k = len(p) - 1
-    rel = tuple(tuple(_sign(p[b] - p[a]) for b in range(k)) for a in range(k))
+    rel = _relations(p)[:k]
     ends = []
     for end, table in zip(_interval_ends(p), (_HIGH, _LOW)):
         if end is not None:
@@ -124,9 +126,9 @@ def _head_matches(cols, rel):
             return
         for c in range(combo[-1] + 1 if combo else 0, last - k + t + 2):
             y = cols[c]
-            sub = _compare(cols[last], y, rel[t][k - 1])
+            sub = _compare(cols[last], y, rel[k - 1][t])
             for a in range(t):
-                sub &= _compare(y, cols[combo[a]], rel[a][t])
+                sub &= _compare(y, cols[combo[a]], rel[t][a])
             if mask is not None:
                 sub &= mask
             yield from rec(combo + (c,), sub)
@@ -247,8 +249,7 @@ def count_steps(bounds, pattern):
     bounds = validate_bounds(bounds)
     if not bounds:
         return
-    if not isinstance(pattern, Pattern):
-        pattern = Pattern(tuple(pattern))
+    pattern = as_pattern(pattern)
     E = _empty_layer(bounds)
     steps = avoider_steps(bounds, pattern)
     for E in islice(steps, len(bounds) - 1):
@@ -298,12 +299,8 @@ def avoider_matrix(bounds, pattern):
 def full_matrix(bounds):
     """All S-inversion sequences for the given bounds, lexicographic order."""
     bounds = validate_bounds(bounds)
-    n = len(bounds)
-    dt = _dtype_for(bounds)
-    if n == 0:
-        return np.zeros((1, 0), dtype=dt)
-    grids = np.meshgrid(*[np.arange(s, dtype=dt) for s in bounds], indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, n)
+    grid = np.indices(bounds, dtype=_dtype_for(bounds))
+    return grid.reshape(len(bounds), prod(bounds)).T
 
 
 def contains_mask(bounds, pattern):
@@ -315,9 +312,6 @@ def contains_mask(bounds, pattern):
     bounds = validate_bounds(bounds)
     E = full_matrix(bounds)
     A = avoider_matrix(bounds, pattern)
-    index = np.zeros(A.shape[0], dtype=np.int64)
-    for j, s in enumerate(bounds):
-        index = index * s + A[:, j]
     hit = np.ones(E.shape[0], dtype=bool)
-    hit[index] = False
+    hit[np.ravel_multi_index(A.T, bounds)] = False
     return E, hit

@@ -98,8 +98,6 @@ class RationalSeries:
         return RationalSeries([-c for c in self.coeffs], self.order, self.flavor)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
-from .core import Pattern, ordinary_bounds
+from .core import Pattern, as_pattern, ordinary_bounds
 from . import engine
 
 
@@ -37,14 +37,9 @@ def count_vector(pattern, n_max):
     """Exact |I_n(pattern)| for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    p = pattern if isinstance(pattern, Pattern) else Pattern(tuple(pattern))
+    p = as_pattern(pattern)
     counts = engine.avoider_counts(ordinary_bounds(n_max), p)
     return CountVector(p, tuple(counts))
-
-
-def _count_vector_job(args):
-    entries, n_max = args
-    return entries, count_vector(Pattern(entries), n_max).counts
 
 
 def classify(length, n_max, threads=1):
@@ -55,15 +50,13 @@ def classify(length, n_max, threads=1):
     """
     patterns = canonical_patterns(length)
     if threads and threads > 1:
-        jobs = [(p.entries, n_max) for p in patterns]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(_count_vector_job, jobs))
-        vectors = {p: results[p.entries] for p in patterns}
+            vectors = list(pool.map(count_vector, patterns, repeat(n_max)))
     else:
-        vectors = {p: count_vector(p, n_max).counts for p in patterns}
+        vectors = list(map(count_vector, patterns, repeat(n_max)))
     by_counts = {}
-    for p in patterns:
-        by_counts.setdefault(vectors[p], []).append(p)
+    for v in vectors:
+        by_counts.setdefault(v.counts, []).append(v.pattern)
     classes = [
         WilfClass(tuple(sorted(ps, key=lambda q: q.entries)), counts)
         for counts, ps in by_counts.items()
@@ -78,8 +71,7 @@ def first_divergence(p, q, n_max):
     Counts are grown incrementally and compared per length, so the search
     stops at the first difference; the length n_max is only counted.
     """
-    p = p if isinstance(p, Pattern) else Pattern(tuple(p))
-    q = q if isinstance(q, Pattern) else Pattern(tuple(q))
+    p, q = as_pattern(p), as_pattern(q)
     bounds = ordinary_bounds(n_max)
     counts = zip(engine.count_steps(bounds, p), engine.count_steps(bounds, q))
     for n, (a, b) in enumerate(counts, start=1):

@@ -74,11 +74,10 @@ class TestClassify:
         assert rows[1]["patterns"] == "10"
         assert rows[1]["counts"] == "1 2 5 14 42"
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("INVSEQ_THREADS", "2")
-        code, out, _ = run(["classify", "--length", "2", "--nmax", "4"], capsys)
-        assert code == 0
-        assert len(rows_csv(out)) == 2
+    def test_threads_below_one_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--length", "2", "--nmax", "4", "--threads", "0"])
+        assert exc.value.code == 2
 
 
 class TestBijection:
@@ -297,6 +296,17 @@ class TestOeisCompare:
         )
         assert code == 1
         assert rows_csv(out)[0]["verdict"] == "FAIL"
+
+    @pytest.mark.parametrize("argv", [
+        ["--seq", "inv-0021", "--bfile", str(DATA / "b218225.txt")],
+        ["--seq", "bell", "--bfile", str(DATA / "b000110.txt")],
+    ])
+    def test_nmax_below_one_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis-compare", *argv, "--nmax", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out + captured.err
 
     def test_missing_file(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,13 @@ from hypothesis import strategies as st
 
 from invseq import canonical_patterns, count_avoiders, enumerate_avoiders
 from invseq.core import contains, ordinary_bounds
-from invseq.engine import _dtype_for, avoider_counts, avoider_steps, contains_mask
+from invseq.engine import (
+    _dtype_for,
+    avoider_counts,
+    avoider_steps,
+    contains_mask,
+    full_matrix,
+)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
@@ -77,3 +85,10 @@ def test_engines_agree_near_dtype_limits(head, top, pattern):
 def test_contains_mask_matches_contains(bounds, pattern):
     E, hit = contains_mask(bounds, pattern)
     assert hit.tolist() == [contains(tuple(row), pattern) for row in E.tolist()]
+
+
+@pytest.mark.parametrize("bounds", [(), (2, 3, 5), (2, 130)])
+def test_full_matrix_is_lexicographic_product(bounds):
+    E = full_matrix(bounds)
+    assert E.dtype == _dtype_for(bounds)
+    assert [tuple(row) for row in E.tolist()] == list(product(*map(range, bounds)))
