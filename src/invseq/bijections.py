@@ -1,25 +1,24 @@
 """Structural characterizations of 3210- and 3201-avoiders and the explicit
 bijection between the two avoidance classes.
 
-Positions are 0-based. Three readings of the "second largest" prefix
-value are provided: "multiset" (second entry of the prefix sorted
-descending, ties included), "distinct" (second largest distinct value),
-and "dominated" (largest prefix value with a strictly greater value
-before it). Exhaustive comparison against brute-force containment shows
-only the dominated reading makes the avoidance criterion an equivalence
-(counterexamples: (0,0,2,1,2,0,1) for multiset, (0,0,2,1,3,0,1) for
-distinct). The same holds for the greedy bijection: under the multiset
-reading it stops being injective at n=8 (both (0,0,2,1,3,0,2,1) and its
-would-be image (0,0,2,1,3,1,2,0) map to the latter), while the dominated
-reading gives an exhaustive identity round-trip for all n <= 8. The
-dominated reading is therefore the default everywhere.
+Positions are 0-based. Everything here reads one left-to-right scan,
+`_scan`. It puts each position in one of three maxima layers: x holds the
+weak left-to-right maxima, y the weak left-to-right maxima of the rest,
+and z everything else. It also gives m2[i], the largest y value before
+position i (-1 if there is none). That is the prefix's second maximum in
+the dominated sense: the largest value with a strictly larger one before
+it. A dominated entry is not in x, so it is in y or z; every z entry lies
+below some earlier y entry, and every y entry is dominated. So the
+largest dominated value of a prefix is the running maximum of its y
+layer, for any sequence.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import Pattern, _raw, contains
+from .core import Pattern, _raw, as_inversion_sequence
 
 P3210 = Pattern((3, 2, 1, 0))
 P3201 = Pattern((3, 2, 0, 1))
@@ -32,123 +31,90 @@ class MaximaLayers:
     z: tuple  # everything else
 
 
+def _scan(e):
+    """(layers, m2): layers holds the positions in x, y and z as three lists;
+    m2[i] is the largest y value in e[:i], or -1, for 0 <= i <= len(e)."""
+    layers, m2 = ([], [], []), [-1]
+    top = second = -1
+    for i, v in enumerate(e):
+        if v >= top:
+            top, k = v, 0
+        elif v >= second:
+            second, k = v, 1
+        else:
+            k = 2
+        layers[k].append(i)
+        m2.append(second)
+    return layers, m2
+
+
 def weak_ltr_maxima(e):
     """Positions j with e_i <= e_j for all i < j (0-based)."""
-    e = _raw(e)
-    out = []
-    best = None
-    for j, x in enumerate(e):
-        if best is None or x >= best:
-            out.append(j)
-            best = x
-    return tuple(out)
+    return tuple(_scan(_raw(e))[0][0])
 
 
 def maxima_layers(e):
-    e = _raw(e)
-    x = weak_ltr_maxima(e)
-    xset = set(x)
-    rest = [i for i in range(len(e)) if i not in xset]
-    y_rel = weak_ltr_maxima([e[i] for i in rest])
-    y = tuple(rest[i] for i in y_rel)
-    yset = set(y)
-    z = tuple(i for i in rest if i not in yset)
-    return MaximaLayers(x, y, z)
+    return MaximaLayers(*map(tuple, _scan(_raw(e))[0]))
+
+
+def _avoids_3210(e, z):
+    values = [e[i] for i in z]
+    return values == sorted(values)
+
+
+def _avoids_3201(e, z, m2):
+    return not any(e[i] < w < m2[i] for i in z for w in e[i + 1:])
 
 
 def is_3210_by_partition(e):
-    """3210-avoidance via the three-weakly-increasing-layers criterion."""
+    """3210-avoidance: the z values are weakly increasing."""
     e = _raw(e)
-    layers = maxima_layers(e)
-    vals = [e[i] for i in layers.z]
-    return all(a <= b for a, b in zip(vals, vals[1:]))
+    return _avoids_3210(e, _scan(e)[0][2])
 
 
-def second_max_values(e, i, tie="dominated"):
-    """(largest, second largest) among e_0..e_{i-1}; None where undefined."""
+def second_max_values(e, i):
+    """(largest, second largest) among e_0..e_{i-1}, the second in the
+    dominated sense; None where undefined."""
+    prefix = _raw(e)[:i]
+    m2 = _scan(prefix)[1][-1]
+    return max(prefix, default=None), (m2 if m2 >= 0 else None)
+
+
+def is_3201_by_characterization(e):
+    """3201-avoidance: no later entry lies strictly between a z entry e_i
+    and the second maximum m2[i] of the prefix before it."""
     e = _raw(e)
-    prefix = e[:i]
-    if not prefix:
-        return None, None
-    m1 = max(prefix)
-    if tie == "multiset":
-        if len(prefix) < 2:
-            return m1, None
-        m2 = sorted(prefix, reverse=True)[1]
-    elif tie == "distinct":
-        distinct = sorted(set(prefix), reverse=True)
-        m2 = distinct[1] if len(distinct) >= 2 else None
-    elif tie == "dominated":
-        best = None
-        running = prefix[0]
-        for v in prefix[1:]:
-            if v < running and (best is None or v > best):
-                best = v
-            running = max(running, v)
-        m2 = best
-    else:
-        raise ValueError(f"unknown tie rule {tie!r}")
-    return m1, m2
+    layers, m2 = _scan(e)
+    return _avoids_3201(e, layers[2], m2)
 
 
-def is_3201_by_characterization(e, tie="dominated"):
-    """3201-avoidance via the M^2 prefix criterion: every entry is a weak
-    LTR maximum, a weak 2nd LTR maximum, or no later entry lands strictly
-    between it and the prefix's second maximum."""
-    e = _raw(e)
-    n = len(e)
-    layers = maxima_layers(e)
-    covered = set(layers.x) | set(layers.y)
-    for i in range(n):
-        if i in covered:
-            continue
-        _, m2 = second_max_values(e, i, tie)
-        if m2 is None:
-            continue
-        for j in range(i + 1, n):
-            if not (e[j] <= e[i] or e[j] >= m2):
-                return False
-    return True
-
-
-def map_3210_to_3201(e, tie="dominated"):
+def map_3210_to_3201(e):
     """The explicit bijection I_n(3210) -> I_n(3201).
 
-    Keeps the first two maxima layers fixed and refills the remaining
-    positions greedily, largest available value below the running second
-    maximum first.
+    Keeps the x and y layers and refills the z positions left to right,
+    each with the largest remaining z value below m2. The z values of a
+    3210-avoider increase, so the first k lie below m2 at the k-th z
+    position, and one of them always remains.
     """
-    e = _raw(e)
-    if contains(e, P3210):
+    e = as_inversion_sequence(e)
+    (_, _, z), m2 = _scan(e)
+    if not _avoids_3210(e, z):
         raise ValueError("input contains 3210; the map is undefined")
-    layers = maxima_layers(e)
+    pool = sorted(e[i] for i in z)
     f = list(e)
-    pool = sorted(e[i] for i in layers.z)  # ascending; we extract maxima
-    for pos in layers.z:
-        _, m2 = second_max_values(f, pos, tie)
-        pick = None
-        for idx in range(len(pool) - 1, -1, -1):
-            if m2 is not None and pool[idx] < m2:
-                pick = idx
-                break
-        if pick is None:
-            raise RuntimeError(
-                f"no admissible value for position {pos}; tie rule {tie!r} faulty"
-            )
-        f[pos] = pool.pop(pick)
+    for i in z:
+        f[i] = pool.pop(bisect_left(pool, m2[i]) - 1)
     return tuple(f)
 
 
 def map_3201_to_3210(f):
-    """Inverse of map_3210_to_3201: recompute the layers on f and reassign
-    the leftover multiset in weakly increasing order (the order forced on
-    the third layer of a 3210-avoider)."""
-    f = _raw(f)
-    if contains(f, P3201):
+    """Inverse of map_3210_to_3201: put the z values of f back in weakly
+    increasing order (the order forced on the z layer of a 3210-avoider)."""
+    f = as_inversion_sequence(f)
+    (_, _, z), m2 = _scan(f)
+    if not _avoids_3201(f, z, m2):
         raise ValueError("input contains 3201; the inverse is undefined")
-    layers = maxima_layers(f)
-    pool = sorted(f[i] for i in layers.z)
     e = list(f)
-    for pos, val in zip(layers.z, pool):
-        e[pos] = val
+    for i, v in zip(z, sorted(f[i] for i in z)):
+        e[i] = v
     return tuple(e)

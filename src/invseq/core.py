@@ -219,13 +219,19 @@ def lehmer_encode(perm):
     )
 
 
-def lehmer_decode(e):
-    """Permutation of 1..n whose Lehmer code is the inversion sequence e."""
+def as_inversion_sequence(e):
+    """The entries of e, checked to form an inversion sequence (0 <= e_i <= i)."""
     e = _raw(e)
-    n = len(e)
     for i, v in enumerate(e):
         if not 0 <= v <= i:
-            raise ValueError(f"entry {v} at position {i} is not a valid code")
+            raise ValueError(f"entry {v} at position {i} is outside 0..{i}")
+    return e
+
+
+def lehmer_decode(e):
+    """Permutation of 1..n whose Lehmer code is the inversion sequence e."""
+    e = as_inversion_sequence(e)
+    n = len(e)
     avail = list(range(1, n + 1))
     out = [0] * n
     for i in range(n - 1, -1, -1):

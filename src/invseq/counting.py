@@ -209,30 +209,15 @@ def _refined_key(e, mode):
     k = sum(1 for x in e if x == 1)
     if mode == "non_inversion":
         return (j, k, initial_non_inversion(e), initial_positive_set(e))
-    kind, h = mode
-    if kind == "terminal":
-        return (j, k, terminal_h_repeat(e, h))
-    if kind == "initial":
-        return (j, k, initial_h_repeat(e, h))
-    raise ValueError(f"unknown refinement mode {mode!r}")
-
-
-def _check_mode(mode):
-    """Reject a refinement mode that _refined_key would reject."""
-    if mode == "non_inversion":
-        return
     try:
         kind, h = mode
     except (TypeError, ValueError):
         raise ValueError(f"unknown refinement mode {mode!r}") from None
     if kind == "terminal":
-        if h < 0:
-            raise ValueError("h must be nonnegative")
-    elif kind == "initial":
-        if h < 1:
-            raise ValueError("h must be positive")
-    else:
-        raise ValueError(f"unknown refinement mode {mode!r}")
+        return (j, k, terminal_h_repeat(e, h))
+    if kind == "initial":
+        return (j, k, initial_h_repeat(e, h))
+    raise ValueError(f"unknown refinement mode {mode!r}")
 
 
 def _repeat_counts(E, zero, pos, kind, h):
@@ -334,5 +319,5 @@ def refined_table(bounds, pattern, mode):
     matrix; `_refined_key` is their per-row definition.
     """
     bounds = validate_bounds(bounds)
-    _check_mode(mode)
+    _refined_key((), mode)  # reject a bad mode even when there are no rows
     return _refined_counts(engine.avoider_matrix(bounds, pattern), mode)

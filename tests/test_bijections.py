@@ -41,23 +41,13 @@ class TestSecondMax:
     def test_empty_prefix(self):
         assert second_max_values((0, 1), 0) == (None, None)
 
-    def test_multiset_counts_ties(self):
-        assert second_max_values((0, 2, 2), 3, tie="multiset") == (2, 2)
-
-    def test_distinct_skips_ties(self):
-        assert second_max_values((0, 2, 2), 3, tie="distinct") == (2, 0)
-
     def test_dominated_needs_earlier_larger(self):
         # 2 at position 1 is never dominated; 1 is dominated by it
-        assert second_max_values((0, 2, 1), 3, tie="dominated") == (2, 1)
-        assert second_max_values((0, 1, 2), 3, tie="dominated") == (2, None)
+        assert second_max_values((0, 2, 1), 3) == (2, 1)
+        assert second_max_values((0, 1, 2), 3) == (2, None)
 
     def test_dominated_is_default(self):
         assert second_max_values((0, 2, 2), 3) == (2, None)
-
-    def test_unknown_tie(self):
-        with pytest.raises(ValueError):
-            second_max_values((0, 1), 2, tie="???")
 
 
 class TestCharacterizations:
@@ -72,14 +62,11 @@ class TestCharacterizations:
             assert is_3201_by_characterization(e) == (not contains(e, P3201))
 
     def test_naive_tie_rules_fail(self):
-        # both sequences avoid 3201 but the naive prefix-maximum readings
-        # flag them as containing it
-        e = (0, 0, 2, 1, 2, 0, 1)
-        assert not contains(e, P3201)
-        assert not is_3201_by_characterization(e, tie="multiset")
-        f = (0, 0, 2, 1, 3, 0, 1)
-        assert not contains(f, P3201)
-        assert not is_3201_by_characterization(f, tie="distinct")
+        # both sequences avoid 3201; a second maximum that counted the tied
+        # 2s (first) or skipped them (second) would flag them as containing it
+        for e in [(0, 0, 2, 1, 2, 0, 1), (0, 0, 2, 1, 3, 0, 1)]:
+            assert not contains(e, P3201)
+            assert is_3201_by_characterization(e)
 
 
 class TestBijection:
@@ -88,6 +75,12 @@ class TestBijection:
             map_3210_to_3201((0, 1, 2, 3, 2, 1, 0))
         with pytest.raises(ValueError):
             map_3201_to_3210((0, 1, 2, 3, 2, 0, 1))
+        # entries outside 0 <= e_i <= i
+        for bad in [(0, 5), (3, 2, 1, 0), (0, -1), (1,)]:
+            with pytest.raises(ValueError):
+                map_3210_to_3201(bad)
+            with pytest.raises(ValueError):
+                map_3201_to_3210(bad)
 
     def test_worked_example(self):
         e = (0, 1, 2, 3, 2, 0, 1)
@@ -97,21 +90,25 @@ class TestBijection:
         assert map_3201_to_3210(f) == e
 
     def test_multiset_tie_map_collides(self):
-        # under the naive multiset reading two distinct avoiders share an
-        # image; the dominated reading keeps the map injective
-        e = (0, 0, 2, 1, 3, 0, 2, 1)
-        f = map_3210_to_3201(e, tie="multiset")
-        assert f == (0, 0, 2, 1, 3, 1, 2, 0)
-        assert map_3210_to_3201(f, tie="multiset") == f
-        assert map_3210_to_3201(e) == e
-        assert map_3210_to_3201(f) == f
+        # a greedy map whose second maximum counted ties sent both of these
+        # avoiders of 3210 and 3201 to the second; the map fixes each
+        for e in [(0, 0, 2, 1, 3, 0, 2, 1), (0, 0, 2, 1, 3, 1, 2, 0)]:
+            assert not contains(e, P3210) and not contains(e, P3201)
+            assert map_3210_to_3201(e) == e
+            assert map_3201_to_3210(e) == e
 
     @pytest.mark.parametrize("n", range(8))
     def test_bijection_properties(self, n):
         avoiders_3201 = {e for e in invseqs(n) if not contains(e, P3201)}
         images = set()
         for e in invseqs(n):
+            # each map is defined exactly on the avoiders of its pattern
+            if e not in avoiders_3201:
+                with pytest.raises(ValueError):
+                    map_3201_to_3210(e)
             if contains(e, P3210):
+                with pytest.raises(ValueError):
+                    map_3210_to_3201(e)
                 continue
             f = map_3210_to_3201(e)
             layers = maxima_layers(e)

@@ -99,6 +99,15 @@ class TestBijection:
         with pytest.raises(SystemExit):
             main(["bijection", "--seq", "0,1,2,3,2,1,0"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--seq", "0,5"], ["--seq", "0,5", "--inverse"],
+        ["--seq", "3,2,1,0", "--inverse"], ["--seq", "0,-1"],
+    ])
+    def test_rejects_non_inversion_sequence(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["bijection"] + argv)
+        assert exc.value.code == 2
+
 
 class TestTreesAndSeries:
     def test_tree_oracles_agree(self, capsys):
