@@ -3,7 +3,6 @@ bijections, increasing trees, and exact rational series."""
 
 from .core import (
     Pattern,
-    SInvSeq,
     avoids,
     contains,
     extend_avoids,
@@ -36,13 +35,10 @@ from .bijections import (
     weak_ltr_maxima,
 )
 from .trees import (
-    LabelTree,
     count_trees_bounded,
     count_trees_bruteforce,
     count_trees_root_unbounded,
-    invseq_to_tree,
     iter_trees,
-    tree_to_invseq,
 )
 from .series import (
     RationalSeries,

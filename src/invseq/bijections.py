@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import Pattern, _raw, as_inversion_sequence
+from .core import Pattern, as_inversion_sequence
 
 P3210 = Pattern((3, 2, 1, 0))
 P3201 = Pattern((3, 2, 0, 1))
@@ -50,11 +50,11 @@ def _scan(e):
 
 def weak_ltr_maxima(e):
     """Positions j with e_i <= e_j for all i < j (0-based)."""
-    return tuple(_scan(_raw(e))[0][0])
+    return tuple(_scan(e)[0][0])
 
 
 def maxima_layers(e):
-    return MaximaLayers(*map(tuple, _scan(_raw(e))[0]))
+    return MaximaLayers(*map(tuple, _scan(e)[0]))
 
 
 def _avoids_3210(e, z):
@@ -68,14 +68,13 @@ def _avoids_3201(e, z, m2):
 
 def is_3210_by_partition(e):
     """3210-avoidance: the z values are weakly increasing."""
-    e = _raw(e)
     return _avoids_3210(e, _scan(e)[0][2])
 
 
 def second_max_values(e, i):
     """(largest, second largest) among e_0..e_{i-1}, the second in the
     dominated sense; None where undefined."""
-    prefix = _raw(e)[:i]
+    prefix = e[:i]
     m2 = _scan(prefix)[1][-1]
     return max(prefix, default=None), (m2 if m2 >= 0 else None)
 
@@ -83,7 +82,6 @@ def second_max_values(e, i):
 def is_3201_by_characterization(e):
     """3201-avoidance: no later entry lies strictly between a z entry e_i
     and the second maximum m2[i] of the prefix before it."""
-    e = _raw(e)
     layers, m2 = _scan(e)
     return _avoids_3201(e, layers[2], m2)
 

@@ -183,47 +183,27 @@ def cmd_series(args):
     return report
 
 
-_SEQ_SELECTORS = {}
-
-
-def _selector(name):
-    def deco(fn):
-        _SEQ_SELECTORS[name] = fn
-        return fn
-    return deco
-
-
-@_selector("bell")
-def _sel_bell(nmax):
-    return [series.series_Rk(1, nmax).egf_int(n) for n in range(nmax + 1)]
-
-
-@_selector("trees-bounded-3")
-def _sel_trees3(nmax):
-    return [trees.count_trees_bounded(n, 3) for n in range(nmax + 1)]
-
-
-@_selector("boxes-2")
-def _sel_boxes2(nmax):
-    return trees.boxed_counts_operator(2, nmax)
-
-
-@_selector("boxes-3")
-def _sel_boxes3(nmax):
-    return trees.boxed_counts_operator(3, nmax)
+_SEQUENCES = {
+    "bell": lambda nmax: [series.series_Rk(1, nmax).egf_int(n)
+                          for n in range(nmax + 1)],
+    "trees-bounded-3": lambda nmax: [trees.count_trees_bounded(n, 3)
+                                     for n in range(nmax + 1)],
+    "boxes-2": lambda nmax: trees.boxed_counts_operator(2, nmax),
+    "boxes-3": lambda nmax: trees.boxed_counts_operator(3, nmax),
+}
 
 
 def _computed_sequence(args):
     sel, nmax = args.seq, args.nmax
     if nmax < 1:
         raise UsageError("--nmax must be >= 1")
-    if sel in _SEQ_SELECTORS:
-        return _SEQ_SELECTORS[sel](nmax)
+    if sel in _SEQUENCES:
+        return _SEQUENCES[sel](nmax)
     if sel.startswith("inv-"):
         pattern = _parse_pattern(sel[4:])
         _guard_long(args, prod(range(1, nmax + 1)), "count over I_n")
         return list(wilf.count_vector(pattern, nmax).counts)
-    known = sorted(_SEQ_SELECTORS) + ["inv-<pattern>"]
+    known = sorted(_SEQUENCES) + ["inv-<pattern>"]
     raise UsageError(f"unknown sequence selector {sel!r}; known: {', '.join(known)}")
 
 

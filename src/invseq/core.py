@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-def _sign(d):
-    return (d > 0) - (d < 0)
+def _cmp(x, y):
+    return 1 if x > y else -1 if x < y else 0
 
 
 def canonicalize(word):
@@ -93,36 +93,6 @@ def ordinary_bounds(n):
     return tuple(range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class SInvSeq:
-    """An S-inversion sequence: entries e with 0 <= e_i < s_i."""
-
-    entries: tuple
-    bounds: tuple
-
-    def __post_init__(self):
-        entries = tuple(int(v) for v in self.entries)
-        bounds = validate_bounds(self.bounds)
-        if len(entries) != len(bounds):
-            raise ValueError("entries and bounds must have equal length")
-        for i, (e, s) in enumerate(zip(entries, bounds)):
-            if not 0 <= e < s:
-                raise ValueError(f"entry {e} at position {i} violates bound {s}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "bounds", bounds)
-
-    @classmethod
-    def ordinary(cls, entries):
-        return cls(tuple(entries), ordinary_bounds(len(tuple(entries))))
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def _raw(seq):
-    return seq.entries if isinstance(seq, SInvSeq) else tuple(seq)
-
-
 def order_isomorphic(a, b):
     """True iff the two sequences have identical pairwise <,=,> relations."""
     a, b = tuple(a), tuple(b)
@@ -130,7 +100,7 @@ def order_isomorphic(a, b):
         return False
     n = len(a)
     return all(
-        _sign(a[j] - a[i]) == _sign(b[j] - b[i])
+        _cmp(a[j], a[i]) == _cmp(b[j], b[i])
         for i in range(n)
         for j in range(i + 1, n)
     )
@@ -138,8 +108,8 @@ def order_isomorphic(a, b):
 
 @lru_cache(maxsize=256)
 def _relations(p):
-    """rel[t][a] = sign(p[t] - p[a]) for a < t, for the canonical entries p."""
-    return tuple(tuple(_sign(p[t] - p[a]) for a in range(t)) for t in range(len(p)))
+    """rel[t][a] = _cmp(p[t], p[a]) for a < t, for the canonical entries p."""
+    return tuple(tuple(_cmp(p[t], p[a]) for a in range(t)) for t in range(len(p)))
 
 
 def _completes(seq, n, nxt, rel):
@@ -163,10 +133,10 @@ def _completes(seq, n, nxt, rel):
         r_last = to_last[t]
         for i in range(start, n - (last - t) + 1):
             x = seq[i]
-            if (nxt > x) - (nxt < x) != r_last:
+            if (1 if nxt > x else -1 if nxt < x else 0) != r_last:
                 continue
             for c, r in zip(chosen, need):
-                if (x > c) - (x < c) != r:
+                if (1 if x > c else -1 if x < c else 0) != r:
                     break
             else:
                 chosen.append(x)
@@ -184,7 +154,6 @@ def contains(seq, pattern):
     An occurrence ends at some entry, so seq contains the pattern iff some
     entry completes an occurrence after the entries before it.
     """
-    seq = _raw(seq)
     rel = _relations(as_pattern(pattern).entries)
     return any(_completes(seq, i, seq[i], rel) for i in range(len(rel) - 1, len(seq)))
 
@@ -199,7 +168,6 @@ def extend_avoids(seq, nxt, pattern):
     Only subsequences ending at the new entry need checking; avoidance is
     hereditary under prefixes.
     """
-    seq = _raw(seq)
     rel = _relations(as_pattern(pattern).entries)
     return not _completes(seq, len(seq), nxt, rel)
 
@@ -221,7 +189,7 @@ def lehmer_encode(perm):
 
 def as_inversion_sequence(e):
     """The entries of e, checked to form an inversion sequence (0 <= e_i <= i)."""
-    e = _raw(e)
+    e = tuple(e)
     for i, v in enumerate(e):
         if not 0 <= v <= i:
             raise ValueError(f"entry {v} at position {i} is outside 0..{i}")

@@ -12,7 +12,6 @@ import numpy as np
 
 from .core import (
     Pattern,
-    _raw,
     as_pattern,
     extend_avoids,
     ordinary_bounds,
@@ -51,13 +50,13 @@ def count_avoiders(bounds, pattern, engine_name="fast"):
     engine_name 'fast' uses the vectorized grower; 'reference' the pure
     Python backtracking enumerator (kept as an independent cross-check).
     """
+    if engine_name not in ("fast", "reference"):
+        raise ValueError(f"unknown engine {engine_name!r}")
     bounds = validate_bounds(bounds)
     if not bounds:
         return 1
     if engine_name == "reference":
         return sum(1 for _ in enumerate_avoiders(bounds, pattern))
-    if engine_name != "fast":
-        raise ValueError(f"unknown engine {engine_name!r}")
     return engine.avoider_counts(bounds, pattern)[-1]
 
 
@@ -136,7 +135,6 @@ def _zero_positions(e):
 def terminal_h_repeat(e, h):
     """Largest r such that e has >= r zeros and some positive value occurs
     at least h times strictly after the r-th zero; 0 if none."""
-    e = _raw(e)
     if h < 0:
         raise ValueError("h must be nonnegative")
     zeros = _zero_positions(e)
@@ -154,7 +152,6 @@ def terminal_h_repeat(e, h):
 def initial_h_repeat(e, h):
     """Largest r such that e has >= r zeros and some positive value occurs
     at least h times strictly before the r-th-to-last zero; 0 if none."""
-    e = _raw(e)
     if h < 1:
         raise ValueError("h must be positive")
     zeros = _zero_positions(e)
@@ -170,7 +167,6 @@ def initial_h_repeat(e, h):
 def initial_non_inversion(e):
     """Largest z such that e has >= z zeros and no ascent of two positive
     entries occurs strictly before the z-th zero; may be 0."""
-    e = _raw(e)
     zeros = _zero_positions(e)
     best = 0
     for z in range(1, len(zeros) + 1):
@@ -192,7 +188,6 @@ def initial_positive_set(e):
     """Indices i < z (z the initial non-inversion statistic) such that a
     positive entry sits between the i-th and (i+1)-th zeros; i=0 means
     before the first zero."""
-    e = _raw(e)
     z = initial_non_inversion(e)
     zeros = _zero_positions(e)
     out = set()
@@ -212,12 +207,11 @@ def _refined_key(e, mode):
     try:
         kind, h = mode
     except (TypeError, ValueError):
-        raise ValueError(f"unknown refinement mode {mode!r}") from None
-    if kind == "terminal":
-        return (j, k, terminal_h_repeat(e, h))
-    if kind == "initial":
-        return (j, k, initial_h_repeat(e, h))
-    raise ValueError(f"unknown refinement mode {mode!r}")
+        kind = h = None
+    if kind not in ("terminal", "initial") or not isinstance(h, int):
+        raise ValueError(f"unknown refinement mode {mode!r}")
+    stat = terminal_h_repeat if kind == "terminal" else initial_h_repeat
+    return (j, k, stat(e, h))
 
 
 def _repeat_counts(E, zero, pos, kind, h):

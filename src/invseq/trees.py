@@ -1,77 +1,33 @@
-"""Label-increasing trees, their bijections with inversion sequences, and
-the counting oracles (exhaustive enumeration, ODE series, derivative
-operator).
+"""Label-increasing trees and their counting oracles (exhaustive
+enumeration, ODE series, derivative operator).
+
+A tree on the labels 0..n-1, rooted at 0, is given by its parent sequence:
+entry i is the parent of label i+1. Labels increase along root-to-leaf
+paths, so entry i lies in 0..i and the parent sequence is an inversion
+sequence of length n-1; every inversion sequence is the parent sequence of
+exactly one tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .series import RationalSeries, series_Rk, series_Tk
 
 
-@dataclass(frozen=True)
-class LabelTree:
-    """A label-increasing rooted tree on labels {0,...,n-1}, root 0.
-
-    parents[i] is the parent label of label i+1; every parent label is
-    smaller than its child, which makes the structure a single tree with
-    labels increasing along root-to-leaf paths.
-    """
-
-    parents: tuple
-
-    def __post_init__(self):
-        parents = tuple(int(v) for v in self.parents)
-        for i, p in enumerate(parents):
-            if not 0 <= p <= i:
-                raise ValueError(f"parent {p} of label {i + 1} must lie in 0..{i}")
-        object.__setattr__(self, "parents", parents)
-
-    @property
-    def n(self):
-        return len(self.parents) + 1
-
-    def children_counts(self):
-        counts = [0] * self.n
-        for p in self.parents:
-            counts[p] += 1
-        return counts
-
-    def max_branching(self, skip_root=False):
-        counts = self.children_counts()
-        if skip_root:
-            counts = counts[1:]
-        return max(counts, default=0)
-
-
-def tree_to_invseq(tree):
-    """e with e_i = parent of label i; a length n-1 inversion sequence."""
-    return tree.parents
-
-
-def invseq_to_tree(e):
-    """Inverse of tree_to_invseq: the tree on len(e)+1 labels."""
-    return LabelTree(tuple(e))
-
-
 def iter_trees(n, k=None, root_unbounded=False):
-    """All label-increasing trees on n vertices with branching bounded by k
-    (None = unbounded); with root_unbounded the root is exempt."""
+    """The parent sequence of every label-increasing tree on n vertices
+    with branching bounded by k (None = unbounded), lexicographically; with
+    root_unbounded the root is exempt."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n <= 1:
-        if n == 1:
-            yield LabelTree(())
-        return
     parents = []
     counts = [0] * n
 
     def rec(label):
         if label == n:
-            yield LabelTree(tuple(parents))
+            yield tuple(parents)
             return
         for p in range(label):
             if k is not None and counts[p] >= k and not (root_unbounded and p == 0):
@@ -82,7 +38,8 @@ def iter_trees(n, k=None, root_unbounded=False):
             parents.pop()
             counts[p] -= 1
 
-    yield from rec(1)
+    if n:
+        yield from rec(1)
 
 
 def count_trees_bruteforce(n, k, root_unbounded=False):

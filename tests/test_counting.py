@@ -92,6 +92,8 @@ class TestCount:
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             count_avoiders((1, 2), (0, 0), engine_name="magic")
+        with pytest.raises(ValueError):
+            count_avoiders((), (0, 1), engine_name="bogus")
 
 
 class TestTheorem31:
@@ -231,7 +233,9 @@ class TestRefinedTable:
 
     @pytest.mark.parametrize("bounds, pattern", [((1,), (0,)), ((), (0, 0))])
     @pytest.mark.parametrize(
-        "mode", [("initial", 0), ("terminal", -1), ("sideways", 1), "noninversion"]
+        "mode",
+        [("initial", 0), ("terminal", -1), ("sideways", 1), "noninversion",
+         ("terminal", "2"), ("terminal", 1.5), ("initial", 2.0)],
     )
     def test_bad_mode_rejected_with_or_without_rows(self, bounds, pattern, mode):
         # I_{(1)}(0) is empty and I_{()} holds one row; both must reject.

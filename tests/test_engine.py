@@ -18,20 +18,14 @@ from invseq.engine import (
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_every_layer_matches_reference(length):
-    # Rows, not just counts, and in the same lexicographic order.
+    # Rows, not just counts, and in the same lexicographic order. The last
+    # length is counted from forbidden bits, never built as a layer.
+    bounds = ordinary_bounds(7)
     for p in canonical_patterns(length):
-        for m, E in enumerate(avoider_steps(ordinary_bounds(7), p), start=1):
-            want = list(enumerate_avoiders(ordinary_bounds(m), p))
-            assert [tuple(row) for row in E.tolist()] == want, (str(p), m)
-
-
-@pytest.mark.parametrize("length", [1, 2, 3, 4])
-def test_counts_match_reference(length):
-    # The last length is counted from forbidden bits, never built as a layer.
-    for p in canonical_patterns(length):
-        want = [sum(1 for _ in enumerate_avoiders(ordinary_bounds(m), p))
-                for m in range(1, 8)]
-        assert avoider_counts(ordinary_bounds(7), p) == want, str(p)
+        want = [list(enumerate_avoiders(bounds[:m], p)) for m in range(1, 8)]
+        layers = [[tuple(row) for row in E.tolist()] for E in avoider_steps(bounds, p)]
+        assert layers == want, str(p)
+        assert avoider_counts(bounds, p) == [len(rows) for rows in want], str(p)
 
 
 @pytest.mark.parametrize("bounds", [(2, 65, 66), (2, 64, 65), (3, 65, 130)])
@@ -85,6 +79,7 @@ def test_engines_agree_near_dtype_limits(head, top, pattern):
 def test_contains_mask_matches_contains(bounds, pattern):
     E, hit = contains_mask(bounds, pattern)
     assert hit.tolist() == [contains(tuple(row), pattern) for row in E.tolist()]
+    assert hit.tolist() == [contains(row, pattern) for row in E]
 
 
 @pytest.mark.parametrize("bounds", [(), (2, 3, 5), (2, 130)])

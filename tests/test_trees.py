@@ -1,37 +1,32 @@
 import pytest
 
+from invseq import enumerate_avoiders, ordinary_bounds
 from invseq.trees import (
-    LabelTree,
     boxed_counts_operator,
     count_trees_bounded,
     count_trees_bruteforce,
     count_trees_root_unbounded,
-    invseq_to_tree,
     iter_trees,
-    tree_to_invseq,
 )
 
 
 class TestLabelTree:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LabelTree((0, 2))  # label 2 cannot be parent of label 2
-
-    def test_children(self):
-        t = LabelTree((0, 0, 1))
-        assert t.n == 4
-        assert t.children_counts() == [2, 1, 0, 0]
-        assert t.max_branching() == 2
-        assert t.max_branching(skip_root=True) == 1
-
-    def test_roundtrip(self):
-        for t in iter_trees(5, None):
-            assert invseq_to_tree(tree_to_invseq(t)) == t
-
     def test_unbounded_count_is_factorial(self):
         # unrestricted label-increasing trees on n vertices: (n-1)!
         assert count_trees_bruteforce(5, None) == 24
         assert count_trees_bruteforce(6, None) == 120
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_parent_sequences_are_avoiders(self, n):
+        # Branching <= 3 forbids four equal parents, i.e. 0000; branching
+        # <= 2 off the root forbids three equal positive parents, i.e. 0111.
+        # Both sides are lexicographic.
+        assert list(iter_trees(n + 1, 3)) == list(
+            enumerate_avoiders(ordinary_bounds(n), (0, 0, 0, 0))
+        )
+        assert list(iter_trees(n + 1, 2, root_unbounded=True)) == list(
+            enumerate_avoiders(ordinary_bounds(n), (0, 1, 1, 1))
+        )
 
 
 class TestCounts:
