@@ -14,14 +14,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from math import prod
 
 from . import bijections, counting, series, trees, wilf
 from .bfile import compare_with_bfile, parse_bfile
 from .claims import CLAIMS
 from .core import Pattern, validate_bounds
-
-_LONG_RUN_CELLS = 5_000_000
 
 
 class UsageError(ValueError):
@@ -45,21 +42,17 @@ class RunReport:
     def passed(self):
         return all(ok for _, ok in self.verdicts)
 
-    def emit(self, fmt="csv", out=None, err=None):
-        out = out or sys.stdout
-        err = err or sys.stderr
+    def emit(self, fmt="csv"):
+        out, err = sys.stdout, sys.stderr
         if self.rows:
             if fmt == "csv":
                 cols = list(self.rows[0].keys())
                 writer = csv.DictWriter(out, fieldnames=cols)
                 writer.writeheader()
-                for row in self.rows:
-                    writer.writerow(row)
-            elif fmt == "json":
+                writer.writerows(self.rows)
+            else:
                 for row in self.rows:
                     out.write(json.dumps(row) + "\n")
-            else:
-                raise UsageError(f"unknown format {fmt!r}")
         for name, ok in self.verdicts:
             err.write(f"{'PASS' if ok else 'FAIL'} {name}\n")
         err.write(f"# {self.command} finished in {self.duration:.2f}s\n")
@@ -83,13 +76,6 @@ def _parse_pattern(text):
         raise UsageError(str(ex))
 
 
-def _guard_long(args, cells, what):
-    if cells > _LONG_RUN_CELLS and not args.allow_long:
-        raise UsageError(
-            f"{what} enumerates ~{cells} sequences; rerun with --allow-long"
-        )
-
-
 # -- subcommands ----------------------------------------------------------
 
 
@@ -100,13 +86,11 @@ def cmd_count(args):
         raise UsageError("provide exactly one of --n or --set")
     if args.set is not None:
         bounds = _parse_set(args.set)
-        _guard_long(args, prod(bounds) if bounds else 1, "count over I_S")
         report.add(set=",".join(map(str, bounds)), pattern=str(pattern),
                    count=counting.count_avoiders(bounds, pattern))
     else:
         if args.n < 1:
             raise UsageError("--n must be >= 1")
-        _guard_long(args, prod(range(1, args.n + 1)), "count over I_n")
         if args.vector:
             counts = wilf.count_vector(pattern, args.n).counts
             for n, c in enumerate(counts, start=1):
@@ -121,7 +105,6 @@ def cmd_classify(args):
     report = RunReport("classify")
     if args.length < 1 or args.nmax < 1 or args.threads < 1:
         raise UsageError("--length, --nmax and --threads must be >= 1")
-    _guard_long(args, prod(range(1, args.nmax + 1)), "classification sweep")
     classes = wilf.classify(args.length, args.nmax, threads=args.threads)
     for idx, cls in enumerate(classes):
         report.add(
@@ -171,12 +154,12 @@ def cmd_series(args):
         raise UsageError("--order must be >= 0")
     if args.kind == "tansec":
         s = series.tan_plus_sec(args.order)
+    elif args.k < 1:
+        raise UsageError(f"--k must be >= 1 for kind {args.kind}")
     elif args.kind == "T":
         s = series.series_Tk(args.k, args.order)
-    elif args.kind == "R":
-        s = series.series_Rk(args.k, args.order)
     else:
-        raise UsageError(f"unknown series kind {args.kind!r}")
+        s = series.series_Rk(args.k, args.order)
     for n in range(args.order + 1):
         report.add(kind=args.kind, k=args.k if args.kind != "tansec" else "",
                    n=n, egf_coefficient=s.egf_int(n))
@@ -201,7 +184,6 @@ def _computed_sequence(args):
         return _SEQUENCES[sel](nmax)
     if sel.startswith("inv-"):
         pattern = _parse_pattern(sel[4:])
-        _guard_long(args, prod(range(1, nmax + 1)), "count over I_n")
         return list(wilf.count_vector(pattern, nmax).counts)
     known = sorted(_SEQUENCES) + ["inv-<pattern>"]
     raise UsageError(f"unknown sequence selector {sel!r}; known: {', '.join(known)}")
@@ -242,10 +224,8 @@ def cmd_check(args):
 # -- entry point ----------------------------------------------------------
 
 
-def _add_common(sp, guarded=False):
+def _add_common(sp):
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    if guarded:
-        sp.add_argument("--allow-long", action="store_true")
 
 
 def build_parser():
@@ -262,20 +242,21 @@ def build_parser():
     p.add_argument("--set")
     p.add_argument("--vector", action="store_true",
                    help="emit the whole count vector 1..n")
-    _add_common(p, guarded=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("classify", help="empirical Wilf classes")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    _add_common(p, guarded=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("check", help="run a named verification suite")
     p.add_argument("name")
     p.add_argument("--nmax", type=int, default=None)
-    _add_common(p, guarded=True)
+    p.add_argument("--allow-long", action="store_true", help="lift the --nmax cap")
+    _add_common(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("bijection", help="apply the 3210<->3201 map")
@@ -305,7 +286,7 @@ def build_parser():
     p.add_argument("--offset", type=int, default=None)
     p.add_argument("--nmax", type=int, default=10,
                    help="largest n computed")
-    _add_common(p, guarded=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_oeis_compare)
 
     return parser
@@ -317,9 +298,7 @@ def main(argv=None):
     start = time.monotonic()
     try:
         report = args.fn(args)
-    except UsageError as ex:
-        parser.exit(2, f"error: {ex}\n")
-    except OSError as ex:
+    except (UsageError, OSError, MemoryError) as ex:
         parser.exit(2, f"error: {ex}\n")
     report.duration = time.monotonic() - start
     report.emit(args.format)

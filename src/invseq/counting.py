@@ -57,7 +57,7 @@ def count_avoiders(bounds, pattern, engine_name="fast"):
         return 1
     if engine_name == "reference":
         return sum(1 for _ in enumerate_avoiders(bounds, pattern))
-    return engine.avoider_counts(bounds, pattern)[-1]
+    return list(engine.count_steps(bounds, pattern))[-1]
 
 
 def count_avoiders_n(n, pattern, engine_name="fast"):

@@ -22,10 +22,14 @@ of the next length is rows × s minus the set bits below s, with no layer
 built. Layers are stored column-major, so each column comparison reads
 contiguous memory. Entries use the narrowest signed integer dtype that
 holds the largest bound minus one, so none wraps.
+
+Each step first predicts its bytes from its shape and, if they exceed the
+memory the OS reports available, raises MemoryError before it allocates.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from itertools import islice
 from math import prod
@@ -106,34 +110,52 @@ def _word_plan(p, words):
     return rel, tuple(ends), words
 
 
+def _budget(need):
+    """Bytes of memory free, or, once `need` exceeds that, MemAvailable, which
+    also counts the page cache the kernel can drop but costs a file read."""
+    free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need <= free:
+        return free
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            return next((int(line.split()[1]) * 1024 for line in fh
+                         if line.startswith("MemAvailable:")), free)
+    except OSError:
+        return free
+
+
+def _reserve(nbytes, step, *args):
+    """Raise MemoryError naming step.format(*args) if `nbytes` more cannot fit."""
+    nbytes += 1 << 16  # what any step allocates: Python objects, small arrays
+    budget = _budget(nbytes)
+    if nbytes > budget:
+        raise MemoryError(f"{step.format(*args)} needs about {nbytes:,} bytes of "
+                          f"memory; {budget:,} bytes are available")
+
+
 def _compare(x, y, r):
     return x > y if r > 0 else x < y if r < 0 else x == y
 
 
-def _head_matches(cols, rel):
+def _head_matches(cols, rel, combo=(), mask=None):
     """Yield (combo, mask) for every choice of len(rel) columns ending at the last.
 
     mask marks the rows whose values in those columns are order-isomorphic
     to the pattern head, or is None when every row qualifies. Masks are
     built incrementally, so choices sharing a prefix share its comparisons.
     """
-    k, last = len(rel), len(cols) - 1
-
-    def rec(combo, mask):
-        t = len(combo)
-        if t == k - 1:
-            yield combo + (last,), mask
-            return
-        for c in range(combo[-1] + 1 if combo else 0, last - k + t + 2):
-            y = cols[c]
-            sub = _compare(cols[last], y, rel[k - 1][t])
-            for a in range(t):
-                sub &= _compare(y, cols[combo[a]], rel[t][a])
-            if mask is not None:
-                sub &= mask
-            yield from rec(combo + (c,), sub)
-
-    return rec((), None)
+    k, last, t = len(rel), len(cols) - 1, len(combo)
+    if t == k - 1:
+        yield combo + (last,), mask
+        return
+    for c in range(combo[-1] + 1 if combo else 0, last - k + t + 2):
+        y = cols[c]
+        sub = _compare(cols[last], y, rel[k - 1][t])
+        for a in range(t):
+            sub &= _compare(y, cols[combo[a]], rel[t][a])
+        if mask is not None:
+            sub &= mask
+        yield from _head_matches(cols, rel, combo + (c,), sub)
 
 
 def _run_lengths(first):
@@ -152,6 +174,12 @@ def _forbidden(E, plan):
     rel, ends, words = plan
     rows, m = E.shape
     k = len(rel)
+    # Bytes per row at the last level: the bits; for the rows one head match
+    # selects (at most all), three arrays of their size (the interval's two
+    # sides, their bits) and their positions; k - 1 masks; the prefix flags.
+    per_row = 32 * words + k + 8
+    step = "finding the values forbidden after {:,} rows of length {}"
+    _reserve(rows * per_row, step, rows, m)
     if not k:  # a one-letter pattern: every value completes it
         return np.full((rows, words), _LOW[-1], dtype=_BITS)
     cols = E.T
@@ -168,6 +196,10 @@ def _forbidden(E, plan):
         if t >= k:  # an occurrence ending at column t - 1 needs k - 1 before it
             if t < m:
                 reps = change.nonzero()[0]
+                # Also both flag arrays, and per prefix its row and t columns.
+                need = 2 * rows + len(reps) * (per_row + 7 + t * E.itemsize)
+                if need > rows * per_row:
+                    _reserve(need, step, rows, m)
                 sub = cols[:t].take(reps, axis=1)
             else:  # each row is its own length-m prefix
                 reps, sub = slice(None), cols
@@ -184,9 +216,9 @@ def _forbidden(E, plan):
                         continue
                 new = None
                 for pos, table, base in ends:
-                    index = np.add.outer(sub[combo[pos], idx], base)
-                    side = table.take(index, mode="clip")
-                    new = side if new is None else new & side
+                    side = table.take(np.add.outer(sub[combo[pos], idx], base),
+                                      mode="clip")
+                    new = side if new is None else np.bitwise_and(new, side, out=new)
                 bits[idx] |= new
         if t < m:
             first = change
@@ -195,18 +227,18 @@ def _forbidden(E, plan):
     return bits
 
 
-def _bits_below(forbidden, s):
-    """(rows, s) uint8 matrix of the forbidden bits of the values below s."""
-    return np.unpackbits(forbidden.view(np.uint8), axis=1, count=s, bitorder="little")
-
-
 def _grow(E, s, forbidden):
     """The next layer: each row of E followed by each value below s not forbidden.
 
     Lexicographic order, column-major storage and E's dtype carry over.
     """
     rows, m = E.shape
-    keep = _bits_below(forbidden, s).view(bool)
+    # The keep flags, each row's child count, the new layer at its bound of
+    # s children per row, one column in flight and every row's s candidates.
+    _reserve(rows * (s * (1 + (m + 3) * E.itemsize) + 8),
+             "growing {:,} rows of length {} by one", rows, m)
+    keep = np.unpackbits(forbidden.view(np.uint8), axis=1, count=s,
+                         bitorder="little").view(bool)
     np.logical_not(keep, out=keep)
     counts = np.add.reduce(keep, axis=1)
     out = np.empty((int(counts.sum()), m + 1), dtype=E.dtype, order="F")
@@ -217,8 +249,12 @@ def _grow(E, s, forbidden):
 
 
 def _count_next(forbidden, s):
-    """Rows of the next layer, whose forbidden bits are `forbidden`, never built."""
-    return forbidden.shape[0] * s - int(_bits_below(forbidden, s).sum())
+    """Rows of the next layer, never built: a popcount of the bits below s."""
+    full, rest = divmod(s, _WORD)
+    taken = np.bitwise_count(forbidden[:, full] & _LOW[rest]).sum() if rest else 0
+    if full:
+        taken += np.bitwise_count(forbidden[:, :full]).sum()
+    return forbidden.shape[0] * s - int(taken)
 
 
 def _empty_layer(bounds):
@@ -258,11 +294,6 @@ def count_steps(bounds, pattern):
     yield _count_next(_forbidden(E, _plan(pattern, bounds)), bounds[-1])
 
 
-def avoider_counts(bounds, pattern):
-    """|I_{S_m}(pattern)| for every prefix S_m of the bound set."""
-    return list(count_steps(bounds, pattern))
-
-
 def subset_total(ground, pattern):
     """Sum of |I_S(pattern)| over every subset S of the bound set `ground`.
 
@@ -299,8 +330,11 @@ def avoider_matrix(bounds, pattern):
 def full_matrix(bounds):
     """All S-inversion sequences for the given bounds, lexicographic order."""
     bounds = validate_bounds(bounds)
-    grid = np.indices(bounds, dtype=_dtype_for(bounds))
-    return grid.reshape(len(bounds), prod(bounds)).T
+    dtype = _dtype_for(bounds)
+    size = prod(bounds)
+    _reserve(len(bounds) * size * dtype().itemsize,
+             "listing all {:,} sequences of length {}", size, len(bounds))
+    return np.indices(bounds, dtype=dtype).reshape(len(bounds), size).T
 
 
 def contains_mask(bounds, pattern):

@@ -8,6 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from . import engine
+from .core import ordinary_bounds
+
 
 class RationalSeries:
     """A truncated power series sum c_i x^i, i <= order, with Fraction
@@ -290,10 +293,7 @@ def check_0021_conjecture(n_max, counts=None):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if counts is None:
-        from . import engine
-        from .core import ordinary_bounds
-
-        counts = engine.avoider_counts(ordinary_bounds(n_max), (0, 0, 2, 1))
+        counts = engine.count_steps(ordinary_bounds(n_max), (0, 0, 2, 1))
     counts = list(counts)
     a = RationalSeries([0] + counts, n_max, "ordinary")
     lhs = ((1 - a) * (1 + a) ** 2).reciprocal()

@@ -38,8 +38,7 @@ def count_vector(pattern, n_max):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     p = as_pattern(pattern)
-    counts = engine.avoider_counts(ordinary_bounds(n_max), p)
-    return CountVector(p, tuple(counts))
+    return CountVector(p, tuple(engine.count_steps(ordinary_bounds(n_max), p)))
 
 
 def classify(length, n_max, threads=1):

@@ -57,9 +57,12 @@ class TestCount:
         with pytest.raises(SystemExit):
             main(["count", "--pattern", "000", "--n", "3", "--set", "1,2"])
 
-    def test_long_run_guard(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["count", "--pattern", "0102", "--n", "12"])
+    def test_step_that_cannot_fit_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--pattern", "10", "--set", "10000000,10000001"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bytes of memory" in err
 
 
 class TestClassify:
@@ -131,6 +134,13 @@ class TestTreesAndSeries:
         assert [r["egf_coefficient"] for r in rows_json(out)] == [
             1, 1, 1, 2, 5, 16, 61,
         ]
+
+    @pytest.mark.parametrize("kind, k", [("T", "0"), ("R", "-1")])
+    def test_series_k_below_one_refused(self, capsys, kind, k):
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--kind", kind, "--k", k, "--order", "3"])
+        assert exc.value.code == 2
+        assert "--k must be >= 1" in capsys.readouterr().err
 
 
 class TestChecks:
@@ -265,16 +275,16 @@ class TestFlags:
         assert exc.value.code == 2
 
     def test_allow_long_only_where_guarded(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["series", "--kind", "tansec", "--order", "3", "--allow-long"])
-        assert exc.value.code == 2
-
-    def test_inv_selector_guarded(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["oeis-compare", "--seq", "inv-0102", "--bfile",
-                  str(DATA / "b218225.txt"), "--nmax", "13"])
-        assert exc.value.code == 2
-        assert "--allow-long" in capsys.readouterr().err
+        # Only check has a cap to lift; the engine refuses what cannot fit.
+        for argv in (["series", "--kind", "tansec", "--order", "3"],
+                     ["count", "--pattern", "000", "--n", "3"],
+                     ["classify", "--length", "2", "--nmax", "3"],
+                     ["oeis-compare", "--seq", "bell", "--bfile",
+                      str(DATA / "b000110.txt")]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--allow-long"])
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments: --allow-long" in capsys.readouterr().err
 
 
 class TestOeisCompare:
@@ -286,6 +296,17 @@ class TestOeisCompare:
         )
         assert code == 0
         assert rows_csv(out)[0]["verdict"] == "PASS"
+
+    def test_inv_pattern_past_the_old_cell_limit(self, capsys):
+        # 11! is past the 5M-sequence limit the CLI once applied.
+        code, out, _ = run(
+            ["oeis-compare", "--seq", "inv-0021", "--bfile",
+             str(DATA / "b218225.txt"), "--nmax", "11"],
+            capsys,
+        )
+        assert code == 0
+        row = rows_csv(out)[0]
+        assert row["verdict"] == "PASS" and row["overlap"] == "11"
 
     def test_inv_pattern_with_offset(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,6 @@
+import gc
+import time
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -6,13 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invseq import canonical_patterns, count_avoiders, enumerate_avoiders
+from invseq import (
+    canonical_patterns,
+    count_avoiders,
+    count_vector,
+    engine,
+    enumerate_avoiders,
+)
 from invseq.core import contains, ordinary_bounds
 from invseq.engine import (
     _dtype_for,
-    avoider_counts,
     avoider_steps,
     contains_mask,
+    count_steps,
     full_matrix,
 )
 
@@ -37,7 +46,7 @@ def test_counts_match_reference(length):
     # The last length is counted from forbidden bits, never built as a layer.
     for p in canonical_patterns(length):
         want = [len(rows) for rows in _reference_layers(p)]
-        assert avoider_counts(ordinary_bounds(7), p) == want, str(p)
+        assert list(count_steps(ordinary_bounds(7), p)) == want, str(p)
 
 
 @pytest.mark.parametrize("bounds", [(2, 65, 66), (2, 64, 65), (3, 65, 130)])
@@ -48,7 +57,7 @@ def test_bit_words_past_64(bounds, pattern):
     want = list(enumerate_avoiders(bounds, pattern))
     layers = list(avoider_steps(bounds, pattern))
     assert [tuple(row) for row in layers[-1].tolist()] == want
-    assert avoider_counts(bounds, pattern) == [E.shape[0] for E in layers]
+    assert list(count_steps(bounds, pattern)) == [E.shape[0] for E in layers]
 
 
 @pytest.mark.parametrize(
@@ -99,3 +108,65 @@ def test_full_matrix_is_lexicographic_product(bounds):
     E = full_matrix(bounds)
     assert E.dtype == _dtype_for(bounds)
     assert [tuple(row) for row in E.tolist()] == list(product(*map(range, bounds)))
+
+
+@pytest.mark.parametrize("pattern, bounds", [
+    ("3201", ordinary_bounds(9)),
+    ("0021", ordinary_bounds(10)),
+    ("101", (2, 3, 5, 130, 140)),
+    ("01", (3, 4, 40000)),
+])
+def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds):
+    # Each step's prediction is the largest request it makes of the budget.
+    needs = []
+    monkeypatch.setattr(engine, "_budget", lambda need: needs.append(need) or need)
+
+    def measure(rows, step, *args):
+        gc.collect()
+        needs.clear()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = step(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert max(needs) >= peak, (step.__name__, rows)
+        if pattern in ("3201", "0021") and rows >= 10**4:
+            assert max(needs) <= 4 * peak, (step.__name__, rows)
+        return out
+
+    plan = engine._plan(pattern, bounds)
+    E = engine._empty_layer(bounds)
+    tracemalloc.start()
+    try:
+        for s in bounds[:-1]:
+            forbidden = measure(len(E), engine._forbidden, E, plan)
+            E = measure(len(E), engine._grow, E, s, forbidden)
+        count = measure(len(E), lambda: engine._count_next(
+            engine._forbidden(E, plan), bounds[-1]))
+    finally:
+        tracemalloc.stop()
+    assert count == count_avoiders(bounds, pattern)
+
+
+def test_step_refused_before_it_allocates(monkeypatch):
+    needs = []
+    monkeypatch.setattr(engine, "_budget", lambda need: needs.append(need) or 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError) as exc:
+            count_vector("3201", 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    refused = needs[-1]
+    assert refused > 10**6
+    assert "length 8" in str(exc.value) and f"{refused:,} bytes" in str(exc.value)
+    assert peak < refused
+
+
+def test_step_that_cannot_fit_is_refused_quickly():
+    # The second step's forbidden bits alone would take 10^7 rows of
+    # 156,251 words each, about 12.5 TB.
+    start = time.monotonic()
+    with pytest.raises(MemoryError, match="10,000,000 rows of length 1"):
+        count_avoiders((10**7, 10**7 + 1), (1, 0))
+    assert time.monotonic() - start < 2
