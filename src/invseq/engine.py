@@ -19,12 +19,16 @@ down to the prefixes that extend it. The forbidden values of a row are bits
 in uint64 words, ceil(largest bound / 64) words per row, so the union of the
 intervals is a bitwise OR. The children whose bit is clear survive; a count
 of the next length is rows × s minus the set bits below s, with no layer
-built. Layers are stored column-major, so each column comparison reads
-contiguous memory. Entries use the narrowest signed integer dtype that
-holds the largest bound minus one, so none wraps.
+built. Bits are found for at most _BLOCK rows at a time; a block's first
+row starts a new prefix, so block edges change no bit, and a count never
+holds the bits of a whole layer. Layers are stored column-major, so each
+column comparison reads contiguous memory. Entries use the narrowest signed
+integer dtype that holds the largest bound minus one, so none wraps.
 
 Each step first predicts its bytes from its shape and, if they exceed the
 memory the OS reports available, raises MemoryError before it allocates.
+A step done in blocks predicts one block's arrays plus what it keeps for
+the whole layer: the bits of a growth step, nothing for a count.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ _BITS = np.dtype("<u8")
 # _LOW[b] has the bits below b set and _HIGH[b] the others, for 0 <= b <= 64.
 _LOW = np.array([(1 << b) - 1 for b in range(_WORD + 1)], dtype=_BITS)
 _HIGH = ~_LOW
+# Rows per block of a layer whose forbidden bits are found at once (see
+# _forbidden): fewer makes more numpy calls, more holds more bits.
+_BLOCK = 1 << 18
 
 
 def _int_dtype(limit):
@@ -170,6 +177,30 @@ def _forbidden(E, plan):
     Returns a (rows, words) uint64 array in which bit v % 64 of word v // 64
     of row r is set when row r followed by v contains the pattern. The rows
     of E must be distinct and in lexicographic order, as every layer is.
+    Past _BLOCK rows, each block's bits are written into the one array.
+    """
+    rows = E.shape[0]
+    if rows <= _BLOCK:
+        return _block_forbidden(E, plan, 0, rows)
+    bits = None
+    for lo in range(0, rows, _BLOCK):
+        block = _block_forbidden(E[lo:lo + _BLOCK], plan, rows * plan[2] * 8, rows)
+        if bits is None:  # allocated once the first block's check counted it
+            bits = np.empty((rows, plan[2]), dtype=_BITS)
+        bits[lo:lo + _BLOCK] = block
+    return bits
+
+
+def _count_after(E, plan, s):
+    """Rows of the layer after E at bound s, counted one block at a time."""
+    return sum(_count_next(_block_forbidden(E[lo:lo + _BLOCK], plan, 0, len(E)), s)
+               for lo in range(0, len(E), _BLOCK))
+
+
+def _block_forbidden(E, plan, kept, layer_rows):
+    """_forbidden's bits for consecutive rows of a layer, as for the whole
+    layer: the walk takes the first row as a new prefix. The check adds the
+    `kept` bytes of the step and names its `layer_rows`.
     """
     rel, ends, words = plan
     rows, m = E.shape
@@ -179,7 +210,7 @@ def _forbidden(E, plan):
     # sides, their bits) and their positions; k - 1 masks; the prefix flags.
     per_row = 32 * words + k + 8
     step = "finding the values forbidden after {:,} rows of length {}"
-    _reserve(rows * per_row, step, rows, m)
+    _reserve(kept + rows * per_row, step, layer_rows, m)
     if not k:  # a one-letter pattern: every value completes it
         return np.full((rows, words), _LOW[-1], dtype=_BITS)
     cols = E.T
@@ -199,7 +230,7 @@ def _forbidden(E, plan):
                 # Also both flag arrays, and per prefix its row and t columns.
                 need = 2 * rows + len(reps) * (per_row + 7 + t * E.itemsize)
                 if need > rows * per_row:
-                    _reserve(need, step, rows, m)
+                    _reserve(kept + need, step, layer_rows, m)
                 sub = cols[:t].take(reps, axis=1)
             else:  # each row is its own length-m prefix
                 reps, sub = slice(None), cols
@@ -234,8 +265,8 @@ def _grow(E, s, forbidden):
     """
     rows, m = E.shape
     # The keep flags, each row's child count, the new layer at its bound of
-    # s children per row, one column in flight and every row's s candidates.
-    _reserve(rows * (s * (1 + (m + 3) * E.itemsize) + 8),
+    # s children per row and one column in flight.
+    _reserve(rows * (s * (1 + (m + 2) * E.itemsize) + 8),
              "growing {:,} rows of length {} by one", rows, m)
     keep = np.unpackbits(forbidden.view(np.uint8), axis=1, count=s,
                          bitorder="little").view(bool)
@@ -244,7 +275,9 @@ def _grow(E, s, forbidden):
     out = np.empty((int(counts.sum()), m + 1), dtype=E.dtype, order="F")
     for j in range(m):
         out[:, j] = E[:, j].repeat(counts)
-    out[:, m] = np.arange(s, dtype=E.dtype)[None].repeat(rows, 0)[keep]
+    # Every row's candidates 0..s-1: one row, viewed with zero stride.
+    out[:, m] = np.ndarray((rows, s), E.dtype, np.arange(s, dtype=E.dtype),
+                           0, (0, E.itemsize))[keep]
     return out
 
 
@@ -291,7 +324,7 @@ def count_steps(bounds, pattern):
     for E in islice(steps, len(bounds) - 1):
         yield E.shape[0]
     steps.close()
-    yield _count_next(_forbidden(E, _plan(pattern, bounds)), bounds[-1])
+    yield _count_after(E, _plan(pattern, bounds), bounds[-1])
 
 
 def subset_total(ground, pattern):

@@ -70,6 +70,8 @@ def first_divergence(p, q, n_max):
     Counts are grown incrementally and compared per length, so the search
     stops at the first difference; the length n_max is only counted.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     p, q = as_pattern(p), as_pattern(q)
     bounds = ordinary_bounds(n_max)
     counts = zip(engine.count_steps(bounds, p), engine.count_steps(bounds, q))

@@ -16,7 +16,7 @@ from invseq import (
     engine,
     enumerate_avoiders,
 )
-from invseq.core import contains, ordinary_bounds
+from invseq.core import as_pattern, contains, ordinary_bounds
 from invseq.engine import (
     _dtype_for,
     avoider_steps,
@@ -49,15 +49,51 @@ def test_counts_match_reference(length):
         assert list(count_steps(ordinary_bounds(7), p)) == want, str(p)
 
 
-@pytest.mark.parametrize("bounds", [(2, 65, 66), (2, 64, 65), (3, 65, 130)])
-@pytest.mark.parametrize("pattern", [(1, 0), (0, 1), (0, 0), (1, 0, 1)])
+_WIDE_BOUNDS = [(2, 65, 66), (2, 64, 65), (3, 65, 130)]
+_WIDE_PATTERNS = [(1, 0), (0, 1), (0, 0), (1, 0, 1)]
+
+
+@lru_cache(maxsize=None)
+def _wide_reference(bounds, pattern):
+    return list(enumerate_avoiders(bounds, pattern))
+
+
+@pytest.mark.parametrize("bounds", _WIDE_BOUNDS)
+@pytest.mark.parametrize("pattern", _WIDE_PATTERNS)
 def test_bit_words_past_64(bounds, pattern):
     # Two or more entries reach past the first 64-value word, so forbidden
     # intervals start, end or lie inside a later word.
-    want = list(enumerate_avoiders(bounds, pattern))
+    want = _wide_reference(bounds, pattern)
     layers = list(avoider_steps(bounds, pattern))
     assert [tuple(row) for row in layers[-1].tolist()] == want
     assert list(count_steps(bounds, pattern)) == [E.shape[0] for E in layers]
+
+
+@pytest.mark.parametrize("block", [7, 61])
+def test_block_edges_change_nothing(monkeypatch, block):
+    # Small odd blocks put edges inside runs of rows that share a prefix;
+    # the block after an edge starts that prefix again from its first row.
+    monkeypatch.setattr(engine, "_BLOCK", block)
+    patterns = [p for length in (1, 2, 3) for p in canonical_patterns(length)]
+    patterns += map(as_pattern, ("3201", "3012", "0021", "1001", "0000"))
+    for p in patterns:
+        want = _reference_layers(p)
+        layers = [[tuple(row) for row in E.tolist()]
+                  for E in avoider_steps(ordinary_bounds(7), p)]
+        assert layers == want, str(p)
+        assert list(count_steps(ordinary_bounds(7), p)) == list(map(len, want)), str(p)
+    for bounds, p in product(_WIDE_BOUNDS, _WIDE_PATTERNS):
+        want = _wide_reference(bounds, p)
+        layers = list(avoider_steps(bounds, p))
+        assert [tuple(row) for row in layers[-1].tolist()] == want, (bounds, p)
+        assert list(count_steps(bounds, p)) == [E.shape[0] for E in layers], (bounds, p)
+
+
+@pytest.mark.parametrize("pattern", ["3201", "0021"])
+def test_blocked_counts_match_unblocked(monkeypatch, pattern):
+    unblocked = list(count_steps(ordinary_bounds(9), pattern))
+    monkeypatch.setattr(engine, "_BLOCK", 61)
+    assert list(count_steps(ordinary_bounds(9), pattern)) == unblocked
 
 
 @pytest.mark.parametrize(
@@ -110,16 +146,19 @@ def test_full_matrix_is_lexicographic_product(bounds):
     assert [tuple(row) for row in E.tolist()] == list(product(*map(range, bounds)))
 
 
-@pytest.mark.parametrize("pattern, bounds", [
-    ("3201", ordinary_bounds(9)),
-    ("0021", ordinary_bounds(10)),
-    ("101", (2, 3, 5, 130, 140)),
-    ("01", (3, 4, 40000)),
-])
-def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds):
+@pytest.mark.parametrize("pattern, bounds, block", [
+    ("3201", ordinary_bounds(9), None),
+    ("0021", ordinary_bounds(10), None),
+    ("101", (2, 3, 5, 130, 140), None),
+    ("01", (3, 4, 40000), None),
+    ("3201", ordinary_bounds(9), 4099),
+], ids=["3201-bounds0", "0021-bounds1", "101-bounds2", "01-bounds3", "3201-blocks"])
+def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds, block):
     # Each step's prediction is the largest request it makes of the budget.
-    needs = []
+    needs, peaks = [], []
     monkeypatch.setattr(engine, "_budget", lambda need: needs.append(need) or need)
+    if block:  # the last two layers (5,034 and 40,074 rows) span blocks
+        monkeypatch.setattr(engine, "_BLOCK", block)
 
     def measure(rows, step, *args):
         gc.collect()
@@ -127,10 +166,10 @@ def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         out = step(*args)
-        peak = tracemalloc.get_traced_memory()[1] - base
-        assert max(needs) >= peak, (step.__name__, rows)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        assert max(needs) >= peaks[-1], (step.__name__, rows)
         if pattern in ("3201", "0021") and rows >= 10**4:
-            assert max(needs) <= 4 * peak, (step.__name__, rows)
+            assert max(needs) <= 4 * peaks[-1], (step.__name__, rows)
         return out
 
     plan = engine._plan(pattern, bounds)
@@ -140,8 +179,11 @@ def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds):
         for s in bounds[:-1]:
             forbidden = measure(len(E), engine._forbidden, E, plan)
             E = measure(len(E), engine._grow, E, s, forbidden)
-        count = measure(len(E), lambda: engine._count_next(
-            engine._forbidden(E, plan), bounds[-1]))
+        count = measure(len(E), engine._count_after, E, plan, bounds[-1])
+        if block:  # the whole layer's bits at once, as one block
+            monkeypatch.setattr(engine, "_BLOCK", len(E))
+            assert measure(len(E), engine._count_after, E, plan, bounds[-1]) == count
+            assert peaks[-2] < peaks[-1] / 4
     finally:
         tracemalloc.stop()
     assert count == count_avoiders(bounds, pattern)

@@ -74,3 +74,9 @@ class TestFirstDivergence:
 
     def test_accepts_pattern_objects(self):
         assert first_divergence(Pattern((1, 0)), Pattern((0, 1)), 5) == 2
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_rejects_empty_range(self, n_max):
+        # No length was compared, so None ("no divergence") would be wrong.
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            first_divergence("2001", "2011", n_max)
