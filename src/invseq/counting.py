@@ -170,8 +170,16 @@ def initial_non_inversion(e):
     zeros = _zero_positions(e)
     best = 0
     for z in range(1, len(zeros) + 1):
-        prefix = [x for x in e[:zeros[z - 1]] if x > 0]
-        if all(a >= b for a, b in zip(prefix, prefix[1:])):
+        cut = zeros[z - 1]
+        prefix = [x for x in e[:cut] if x > 0]
+        ok = True
+        lowest = None
+        for x in prefix:
+            if lowest is not None and x > lowest:
+                ok = False
+                break
+            lowest = x if lowest is None else min(lowest, x)
+        if ok:
             best = z
     return best
 
@@ -180,9 +188,15 @@ def initial_positive_set(e):
     """Indices i < z (z the initial non-inversion statistic) such that a
     positive entry sits between the i-th and (i+1)-th zeros; i=0 means
     before the first zero."""
-    ends = [-1] + _zero_positions(e)
-    return frozenset(i for i in range(initial_non_inversion(e))
-                     if any(x > 0 for x in e[ends[i] + 1:ends[i + 1]]))
+    z = initial_non_inversion(e)
+    zeros = _zero_positions(e)
+    out = set()
+    for i in range(z):
+        lo = zeros[i - 1] + 1 if i >= 1 else 0
+        hi = zeros[i]
+        if any(e[t] > 0 for t in range(lo, hi)):
+            out.add(i)
+    return frozenset(out)
 
 
 def _refined_key(e, mode):

@@ -19,16 +19,17 @@ down to the prefixes that extend it. The forbidden values of a row are bits
 in uint64 words, ceil(largest bound / 64) words per row, so the union of the
 intervals is a bitwise OR. The children whose bit is clear survive; a count
 of the next length is rows × s minus the set bits below s, with no layer
-built. Bits are found for at most _BLOCK rows at a time; a block's first
-row starts a new prefix, so block edges change no bit, and a count never
-holds the bits of a whole layer. Layers are stored column-major, so each
-column comparison reads contiguous memory. Entries use the narrowest signed
-integer dtype that holds the largest bound minus one, so none wraps.
+built. That count finds the bits for at most _BLOCK rows at a time; a
+block's first row starts a new prefix, so block edges change no bit, and
+the count never holds the bits of a whole layer. Layers are stored
+column-major, so each column comparison reads contiguous memory. Entries
+use the narrowest signed integer dtype that holds the largest bound minus
+one, so none wraps.
 
 Each step first predicts its bytes from its shape and, if they exceed the
 memory the OS reports available, raises MemoryError before it allocates.
-A step done in blocks predicts one block's arrays plus what it keeps for
-the whole layer: the bits of a growth step, nothing for a count.
+A count done in blocks predicts one block's arrays, and its refusal names
+the whole layer.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ _BITS = np.dtype("<u8")
 # _LOW[b] has the bits below b set and _HIGH[b] the others, for 0 <= b <= 64.
 _LOW = np.array([(1 << b) - 1 for b in range(_WORD + 1)], dtype=_BITS)
 _HIGH = ~_LOW
-# Rows per block of a layer whose forbidden bits are found at once (see
-# _forbidden): fewer makes more numpy calls, more holds more bits.
+# Rows per block of a layer whose last step is counted (see _count_after):
+# fewer makes more numpy calls, more holds more bits.
 _BLOCK = 1 << 18
 
 
@@ -171,36 +172,15 @@ def _run_lengths(first):
     return edges[1:] - edges[:-1]
 
 
-def _forbidden(E, plan):
+def _forbidden(E, plan, layer_rows=None):
     """Bit words of the next values that complete an occurrence, per row of E.
 
     Returns a (rows, words) uint64 array in which bit v % 64 of word v // 64
     of row r is set when row r followed by v contains the pattern. The rows
     of E must be distinct and in lexicographic order, as every layer is.
-    Past _BLOCK rows, each block's bits are written into the one array.
-    """
-    rows = E.shape[0]
-    if rows <= _BLOCK:
-        return _block_forbidden(E, plan, 0, rows)
-    bits = None
-    for lo in range(0, rows, _BLOCK):
-        block = _block_forbidden(E[lo:lo + _BLOCK], plan, rows * plan[2] * 8, rows)
-        if bits is None:  # allocated once the first block's check counted it
-            bits = np.empty((rows, plan[2]), dtype=_BITS)
-        bits[lo:lo + _BLOCK] = block
-    return bits
-
-
-def _count_after(E, plan, s):
-    """Rows of the layer after E at bound s, counted one block at a time."""
-    return sum(_count_next(_block_forbidden(E[lo:lo + _BLOCK], plan, 0, len(E)), s)
-               for lo in range(0, len(E), _BLOCK))
-
-
-def _block_forbidden(E, plan, kept, layer_rows):
-    """_forbidden's bits for consecutive rows of a layer, as for the whole
-    layer: the walk takes the first row as a new prefix. The check adds the
-    `kept` bytes of the step and names its `layer_rows`.
+    E may also be a run of consecutive rows of a layer: the walk takes its
+    first row as a new prefix, so each row gets the bits it has in the
+    whole layer, and `layer_rows` names that layer's rows in a refusal.
     """
     rel, ends, words = plan
     rows, m = E.shape
@@ -210,7 +190,7 @@ def _block_forbidden(E, plan, kept, layer_rows):
     # sides, their bits) and their positions; k - 1 masks; the prefix flags.
     per_row = 32 * words + k + 8
     step = "finding the values forbidden after {:,} rows of length {}"
-    _reserve(kept + rows * per_row, step, layer_rows, m)
+    _reserve(rows * per_row, step, layer_rows or rows, m)
     if not k:  # a one-letter pattern: every value completes it
         return np.full((rows, words), _LOW[-1], dtype=_BITS)
     cols = E.T
@@ -230,7 +210,7 @@ def _block_forbidden(E, plan, kept, layer_rows):
                 # Also both flag arrays, and per prefix its row and t columns.
                 need = 2 * rows + len(reps) * (per_row + 7 + t * E.itemsize)
                 if need > rows * per_row:
-                    _reserve(kept + need, step, layer_rows, m)
+                    _reserve(need, step, layer_rows or rows, m)
                 sub = cols[:t].take(reps, axis=1)
             else:  # each row is its own length-m prefix
                 reps, sub = slice(None), cols
@@ -265,8 +245,8 @@ def _grow(E, s, forbidden):
     """
     rows, m = E.shape
     # The keep flags, each row's child count, the new layer at its bound of
-    # s children per row and one column in flight.
-    _reserve(rows * (s * (1 + (m + 2) * E.itemsize) + 8),
+    # s children per row, one column in flight and every row's s candidates.
+    _reserve(rows * (s * (1 + (m + 3) * E.itemsize) + 8),
              "growing {:,} rows of length {} by one", rows, m)
     keep = np.unpackbits(forbidden.view(np.uint8), axis=1, count=s,
                          bitorder="little").view(bool)
@@ -275,10 +255,15 @@ def _grow(E, s, forbidden):
     out = np.empty((int(counts.sum()), m + 1), dtype=E.dtype, order="F")
     for j in range(m):
         out[:, j] = E[:, j].repeat(counts)
-    # Every row's candidates 0..s-1: one row, viewed with zero stride.
-    out[:, m] = np.ndarray((rows, s), E.dtype, np.arange(s, dtype=E.dtype),
-                           0, (0, E.itemsize))[keep]
+    out[:, m] = np.arange(s, dtype=E.dtype)[None].repeat(rows, 0)[keep]
     return out
+
+
+def _count_after(E, plan, s):
+    """Rows of the layer after E at bound s, from the forbidden bits of at
+    most _BLOCK rows at a time."""
+    return sum(_count_next(_forbidden(E[lo:lo + _BLOCK], plan, len(E)), s)
+               for lo in range(0, len(E), _BLOCK))
 
 
 def _count_next(forbidden, s):
