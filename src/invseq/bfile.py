@@ -26,14 +26,6 @@ class BFile:
     def value(self, index):
         return self._by_index.get(index)
 
-    @property
-    def min_index(self):
-        return self.entries[0][0] if self.entries else None
-
-    @property
-    def max_index(self):
-        return self.entries[-1][0] if self.entries else None
-
 
 def parse_bfile(path):
     entries = []
@@ -57,16 +49,13 @@ def parse_bfile(path):
     return BFile(entries, source=str(path))
 
 
-def compare_with_bfile(values, bfile, offset=None):
+def compare_with_bfile(values, bfile, offset):
     """Compare computed terms against a b-file over the overlapping range.
 
-    values[t] corresponds to b-file index offset + t; by default the
-    computed terms are aligned with the b-file's first index. Returns a
-    report dict with the overlap length, first mismatch (if any) and a
-    verdict in {'PASS', 'FAIL', 'NO_OVERLAP'}.
+    values[t] corresponds to b-file index offset + t. Returns a report
+    dict with the overlap length, first mismatch (if any) and a verdict
+    in {'PASS', 'FAIL', 'NO_OVERLAP'}.
     """
-    if offset is None:
-        offset = bfile.min_index if bfile.min_index is not None else 0
     overlap = 0
     first_mismatch = None
     for t, computed in enumerate(values):

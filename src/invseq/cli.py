@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 
 from . import bijections, counting, series, trees, wilf
-from .bfile import compare_with_bfile, parse_bfile
+from .bfile import BFileError, compare_with_bfile, parse_bfile
 from .claims import CLAIMS
 from .core import Pattern, validate_bounds
 
@@ -103,9 +102,9 @@ def cmd_count(args):
 
 def cmd_classify(args):
     report = RunReport("classify")
-    if args.length < 1 or args.nmax < 1 or args.threads < 1:
-        raise UsageError("--length, --nmax and --threads must be >= 1")
-    classes = wilf.classify(args.length, args.nmax, threads=args.threads)
+    if args.length < 1 or args.nmax < 1:
+        raise UsageError("--length and --nmax must be >= 1")
+    classes = wilf.classify(args.length, args.nmax)
     for idx, cls in enumerate(classes):
         report.add(
             cls=idx,
@@ -177,23 +176,25 @@ _SEQUENCES = {
 
 
 def _computed_sequence(args):
+    """(first n, terms for n = first n..nmax) of the selected sequence."""
     sel, nmax = args.seq, args.nmax
     if nmax < 1:
         raise UsageError("--nmax must be >= 1")
     if sel in _SEQUENCES:
-        return _SEQUENCES[sel](nmax)
+        return 0, _SEQUENCES[sel](nmax)
     if sel.startswith("inv-"):
         pattern = _parse_pattern(sel[4:])
-        return list(wilf.count_vector(pattern, nmax).counts)
+        return 1, wilf.count_vector(pattern, nmax).counts
     known = sorted(_SEQUENCES) + ["inv-<pattern>"]
     raise UsageError(f"unknown sequence selector {sel!r}; known: {', '.join(known)}")
 
 
 def cmd_oeis_compare(args):
     report = RunReport("oeis-compare")
-    values = _computed_sequence(args)
     bf = parse_bfile(args.bfile)
-    result = compare_with_bfile(values, bf, args.offset)
+    first, values = _computed_sequence(args)
+    offset = first if args.offset is None else args.offset
+    result = compare_with_bfile(values, bf, offset)
     report.add(seq=args.seq, bfile=str(args.bfile), offset=result["offset"],
                overlap=result["overlap"],
                first_mismatch=str(result["first_mismatch"]),
@@ -248,7 +249,6 @@ def build_parser():
     p = sub.add_parser("classify", help="empirical Wilf classes")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     _add_common(p)
     p.set_defaults(fn=cmd_classify)
 
@@ -283,7 +283,8 @@ def build_parser():
     p = sub.add_parser("oeis-compare", help="compare a computed sequence to a b-file")
     p.add_argument("--seq", required=True)
     p.add_argument("--bfile", required=True)
-    p.add_argument("--offset", type=int, default=None)
+    p.add_argument("--offset", type=int, default=None,
+                   help="b-file index of the first term (default: its n)")
     p.add_argument("--nmax", type=int, default=10,
                    help="largest n computed")
     _add_common(p)
@@ -298,7 +299,7 @@ def main(argv=None):
     start = time.monotonic()
     try:
         report = args.fn(args)
-    except (UsageError, OSError, MemoryError) as ex:
+    except (UsageError, BFileError, OSError, MemoryError) as ex:
         parser.exit(2, f"error: {ex}\n")
     report.duration = time.monotonic() - start
     report.emit(args.format)

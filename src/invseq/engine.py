@@ -89,33 +89,29 @@ def _interval_ends(p):
 
 
 def _plan(pattern, bounds):
-    """What every growth step for `pattern` over `bounds` needs (see _word_plan)."""
-    return _word_plan(as_pattern(pattern).entries, -(-max(bounds, default=1) // _WORD))
+    """What every growth step for `pattern` over `bounds` needs (see _pattern_plan)."""
+    words = -(-max(bounds, default=1) // _WORD)
+    return _pattern_plan(as_pattern(pattern).entries) + (words,)
 
 
 @lru_cache(maxsize=64)
-def _word_plan(p, words):
-    """(rel, ends, words) for pattern entries p and `words` uint64 words per row.
+def _pattern_plan(p):
+    """(rel, ends) for pattern entries p; _plan adds the uint64 words per row.
 
     rel is core's relation table cut to the pattern head: rel[t][a] is the
     sign of p[t] - p[a] for a < t < len(p) - 1. ends has one (head
-    position, table, base) for each end of the forbidden interval (see
+    position, table, offset) for each end of the forbidden interval (see
     _interval_ends): for the matched head value x at that position,
-    table.take(x + base, mode="clip") are the words of the values on the
-    interval's side of that end, so their AND is the interval. base is
-    read-only, since every caller shares it.
+    table.take(x + offset - 64 * w, mode="clip") is word w of the values
+    on the interval's side of that end, so their AND is the interval. Each
+    step builds these indices once it has reserved their memory.
     """
     k = len(p) - 1
     rel = _relations(p)[:k]
-    ends = []
-    for end, table in zip(_interval_ends(p), (_HIGH, _LOW)):
-        if end is not None:
-            # Word w holds the values 64w..64w+63; clipping the index to
-            # 0..64 leaves a word all clear or all set past its range.
-            base = end[1] - _WORD * np.arange(words)
-            base.flags.writeable = False
-            ends.append((end[0], table, base))
-    return rel, tuple(ends), words
+    ends = tuple((end[0], table, end[1])
+                 for end, table in zip(_interval_ends(p), (_HIGH, _LOW))
+                 if end is not None)
+    return rel, ends
 
 
 def _budget(need):
@@ -188,11 +184,16 @@ def _forbidden(E, plan, layer_rows=None):
     # Bytes per row at the last level: the bits; for the rows one head match
     # selects (at most all), three arrays of their size (the interval's two
     # sides, their bits) and their positions; k - 1 masks; the prefix flags.
+    # Once per step, each end's per-word indices.
     per_row = 32 * words + k + 8
     step = "finding the values forbidden after {:,} rows of length {}"
-    _reserve(rows * per_row, step, layer_rows or rows, m)
+    _reserve(rows * per_row + 8 * words * len(ends), step, layer_rows or rows, m)
     if not k:  # a one-letter pattern: every value completes it
         return np.full((rows, words), _LOW[-1], dtype=_BITS)
+    # Word w holds the values 64w..64w+63; clipping the index to 0..64
+    # leaves a word all clear or all set past its range.
+    ends = [(pos, table, np.arange(offset, offset - _WORD * words, -_WORD))
+            for pos, table, offset in ends]
     cols = E.T
     # first[r]: row r is the first of its length-(t-1) prefix.
     first = np.zeros(rows, dtype=bool)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product, repeat
@@ -41,15 +42,20 @@ def count_vector(pattern, n_max):
     return CountVector(p, tuple(engine.count_steps(ordinary_bounds(n_max), p)))
 
 
-def classify(length, n_max, threads=1):
+def classify(length, n_max, threads=os.cpu_count() or 1):
     """Partition canonical patterns of the given length by count vector.
 
-    Classes are returned sorted by their lexicographically smallest
-    pattern; the partition is independent of input order and thread count.
+    Runs min(threads, CPU count, number of patterns) worker processes, or
+    none when that is 1. Classes are returned sorted by their
+    lexicographically smallest pattern; the partition is independent of
+    input order and worker count.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     patterns = canonical_patterns(length)
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(patterns))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             vectors = list(pool.map(count_vector, patterns, repeat(n_max)))
     else:
         vectors = list(map(count_vector, patterns, repeat(n_max)))

@@ -68,7 +68,7 @@ class TestCount:
 class TestClassify:
     def test_length_two(self, capsys):
         code, out, _ = run(
-            ["classify", "--length", "2", "--nmax", "5", "--threads", "1"], capsys
+            ["classify", "--length", "2", "--nmax", "5"], capsys
         )
         assert code == 0
         rows = rows_csv(out)
@@ -76,11 +76,6 @@ class TestClassify:
         assert rows[0]["patterns"] == "00 01"
         assert rows[1]["patterns"] == "10"
         assert rows[1]["counts"] == "1 2 5 14 42"
-
-    def test_threads_below_one_refused(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--length", "2", "--nmax", "4", "--threads", "0"])
-        assert exc.value.code == 2
 
 
 class TestBijection:
@@ -270,9 +265,13 @@ class TestChecks:
 
 class TestFlags:
     def test_threads_only_on_classify(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bijection", "--seq", "0,1", "--threads", "2"])
-        assert exc.value.code == 2
+        # classify derives its worker count, so no subcommand takes --threads.
+        for argv in (["bijection", "--seq", "0,1"],
+                     ["classify", "--length", "4", "--nmax", "9"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", "1"])
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_allow_long_only_where_guarded(self, capsys):
         # Only check has a cap to lift; the engine refuses what cannot fit.
@@ -308,6 +307,34 @@ class TestOeisCompare:
         row = rows_csv(out)[0]
         assert row["verdict"] == "PASS" and row["overlap"] == "11"
 
+    @pytest.mark.parametrize("seq, bfile", [
+        ("bell", "b000110"),
+        ("boxes-2", "b000772"),
+        ("boxes-3", "b094198"),
+        ("inv-0000", "b297196"),
+        ("inv-0111", "b000772"),
+        ("inv-0021", "b218225"),
+    ])
+    def test_bundled_pairs_align_by_n(self, capsys, seq, bfile):
+        code, out, _ = run(["oeis-compare", "--seq", seq, "--bfile",
+                            str(DATA / f"{bfile}.txt"), "--nmax", "8"], capsys)
+        row = rows_csv(out)[0]
+        assert code == 0 and row["verdict"] == "PASS", row
+        # Named selectors start at n = 0 and inv-<pattern> at n = 1.
+        assert row["offset"] == ("1" if seq.startswith("inv-") else "0")
+        assert row["overlap"] == ("8" if seq.startswith("inv-") else "9")
+
+    def test_offset_overrides_alignment(self, capsys):
+        # Term n of trees-bounded-3 counts trees on n vertices, which is
+        # term n - 1 of A297196.
+        argv = ["oeis-compare", "--seq", "trees-bounded-3", "--bfile",
+                str(DATA / "b297196.txt"), "--nmax", "8"]
+        code, out, _ = run(argv, capsys)
+        assert code == 1 and rows_csv(out)[0]["verdict"] == "FAIL"
+        code, out, _ = run(argv + ["--offset", "-1"], capsys)
+        row = rows_csv(out)[0]
+        assert code == 0 and row["verdict"] == "PASS" and row["offset"] == "-1"
+
     def test_inv_pattern_with_offset(self, capsys):
         code, out, _ = run(
             ["oeis-compare", "--seq", "inv-0021", "--bfile",
@@ -337,6 +364,17 @@ class TestOeisCompare:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "PASS" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("text", ["0 1\n1 x\n", "0 1\n2 2\n1 1\n"],
+                             ids=["non-integer", "decreasing-index"])
+    def test_malformed_bfile_is_a_usage_error(self, capsys, tmp_path, text):
+        bad = tmp_path / "b.txt"
+        bad.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis-compare", "--seq", "bell", "--bfile", str(bad), "--nmax", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:")
 
     def test_missing_file(self, capsys):
         with pytest.raises(SystemExit):

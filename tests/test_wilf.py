@@ -1,6 +1,8 @@
+import os
+
 import pytest
 
-from invseq import canonical_patterns, classify, count_vector, first_divergence
+from invseq import canonical_patterns, classify, count_vector, first_divergence, wilf
 from invseq.core import Pattern
 
 
@@ -47,6 +49,35 @@ class TestClassify:
 
     def test_length_three_class_count(self):
         assert len(classify(3, 7)) == 11
+
+    def test_workers_capped_by_cpus_and_patterns(self, monkeypatch):
+        # A stand-in pool that records its size and maps serially, so no
+        # worker process is started.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(wilf, "ProcessPoolExecutor", SerialPool)
+        serial = classify(2, 3, threads=1)
+        assert asked == []
+        assert classify(2, 3, threads=64) == serial
+        assert classify(2, 3) == serial  # the default, as the CLI runs it
+        cap = min(64, os.cpu_count() or 1, 3)
+        assert asked == ([cap, cap] if cap > 1 else [])
+
+    def test_threads_below_one_refused(self):
+        with pytest.raises(ValueError, match="threads"):
+            classify(2, 3, threads=0)
 
     def test_threads_do_not_change_partition(self):
         a = classify(3, 6, threads=1)
