@@ -10,21 +10,22 @@ Each growth step first finds, for every row, the next values that would
 complete an occurrence. For a choice of L-1 columns whose values realize
 the pattern head p[:L-1], those values form one interval: v must lie above
 every entry whose pattern value is below p[L-1], below every entry whose
-pattern value is above it, and equal to any tied entry. A head occurrence
-whose last column is t-1 depends only on the row's length-t prefix, and
-rows sharing a prefix are adjacent in lexicographic order. So a walk over
-t = 1..m tests the occurrences ending at column t-1 once, on the first row
-of each distinct length-t prefix, and passes each prefix's forbidden values
-down to the prefixes that extend it. The forbidden values of a row are bits
-in uint64 words, ceil(largest bound / 64) words per row, so the union of the
-intervals is a bitwise OR. The children whose bit is clear survive; a count
-of the next length is rows × s minus the set bits below s, with no layer
-built. That count finds the bits for at most _BLOCK rows at a time; a
-block's first row starts a new prefix, so block edges change no bit, and
-the count never holds the bits of a whole layer. Layers are stored
-column-major, so each column comparison reads contiguous memory. Entries
-use the narrowest signed integer dtype that holds the largest bound minus
-one, so none wraps.
+pattern value is above it, and equal to any tied entry; choices sharing
+the columns of the interval's ends share it, so it is found once for them.
+The forbidden values of a row are bits in uint64 words, ceil(largest bound
+/ 64) words per row, so their union is a bitwise OR; the children whose bit
+is clear survive. A grown row starts from its parent's bits, which hold
+every occurrence ending before its last column, so a growth step tests
+only the choices ending there. A count of the last length, rows × s minus
+the set bits below s, builds no layer and gets its parent layer bare from
+`avoider_steps`, so it walks prefixes: an occurrence whose head ends at
+column t-1 depends only on the length-t prefix, and rows sharing a prefix
+are adjacent, so a walk over t = 1..m tests it once per distinct prefix and
+passes the bits down. It walks at most _BLOCK rows at a time; a block's
+first row starts a new prefix, so block edges change no bit, and the count
+never holds the bits of a whole layer. Layers are stored column-major, so
+each column comparison reads contiguous memory. Entries use the narrowest
+signed integer dtype that holds the largest bound minus one, so none wraps.
 
 Each step first predicts its bytes from its shape and, if they exceed the
 memory the OS reports available, raises MemoryError before it allocates.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from itertools import islice
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
@@ -168,24 +169,50 @@ def _run_lengths(first):
     return edges[1:] - edges[:-1]
 
 
-def _forbidden(E, plan, layer_rows=None):
+def _or_level(bits, sub, rel, ends):
+    """OR into `bits` the intervals of the head matches ending at the last
+    column of `sub`, once per group of matches with the same end columns."""
+    groups = {}
+    for combo, mask in _head_matches(sub, rel):
+        key = tuple(combo[pos] for pos, _, _ in ends)
+        held = groups.get(key)
+        groups[key] = mask if held is None else np.bitwise_or(held, mask, out=held)
+    for key, mask in groups.items():
+        idx = slice(None) if mask is None else mask.nonzero()[0]
+        if mask is not None and not len(idx):
+            continue
+        new = None
+        for col, (_, table, base) in zip(key, ends):
+            side = table.take(np.add.outer(sub[col, idx], base), mode="clip")
+            new = side if new is None else np.bitwise_and(new, side, out=new)
+        bits[idx] |= new
+
+
+def _forbidden(E, plan, parent=None, layer_rows=None):
     """Bit words of the next values that complete an occurrence, per row of E.
 
     Returns a (rows, words) uint64 array in which bit v % 64 of word v // 64
-    of row r is set when row r followed by v contains the pattern. The rows
-    of E must be distinct and in lexicographic order, as every layer is.
-    E may also be a run of consecutive rows of a layer: the walk takes its
-    first row as a new prefix, so each row gets the bits it has in the
-    whole layer, and `layer_rows` names that layer's rows in a refusal.
+    of row r is set when row r followed by v contains the pattern. `parent`
+    is (bits, counts) of the layer `_grow` made E from; its bits hold every
+    occurrence ending before the last column. Without it, a walk over
+    prefixes needs E's rows distinct and in lexicographic order, as every
+    layer is. E may then be a run of consecutive rows of a layer: the walk
+    takes its first row as a new prefix, so each row gets the bits it has
+    in the whole layer, and `layer_rows` names that layer's rows in a refusal.
     """
     rel, ends, words = plan
     rows, m = E.shape
     k = len(rel)
-    # Bytes per row at the last level: the bits; for the rows one head match
+    # At most one group per choice, or per value of each end column that is
+    # not the last (m - k + 1 values each).
+    free = {pos for pos, _, _ in ends if pos < k - 1}
+    groups = min(comb(m - 1, k - 1), (m - k + 1) ** len(free)) if m >= k > 0 else 0
+    # Bytes per row at the last level: the bits; one mask per group of head
+    # matches sharing their ends and k - 1 more; for the rows one group
     # selects (at most all), three arrays of their size (the interval's two
-    # sides, their bits) and their positions; k - 1 masks; the prefix flags.
-    # Once per step, each end's per-word indices.
-    per_row = 32 * words + k + 8
+    # sides, their bits) and their positions; the prefix flags. Once per
+    # step, each end's per-word indices.
+    per_row = 32 * words + groups + k + 8
     step = "finding the values forbidden after {:,} rows of length {}"
     _reserve(rows * per_row + 8 * words * len(ends), step, layer_rows or rows, m)
     if not k:  # a one-letter pattern: every value completes it
@@ -195,6 +222,10 @@ def _forbidden(E, plan, layer_rows=None):
     ends = [(pos, table, np.arange(offset, offset - _WORD * words, -_WORD))
             for pos, table, offset in ends]
     cols = E.T
+    if parent is not None:
+        bits = parent[0].repeat(parent[1], axis=0)
+        _or_level(bits, cols, rel, ends)  # none when m < k
+        return bits
     # first[r]: row r is the first of its length-(t-1) prefix.
     first = np.zeros(rows, dtype=bool)
     first[:1] = True
@@ -219,19 +250,7 @@ def _forbidden(E, plan, layer_rows=None):
                 bits = np.zeros((sub.shape[1], words), dtype=_BITS)
             else:
                 bits = bits.repeat(_run_lengths(first[reps]), axis=0)
-            for combo, mask in _head_matches(sub, rel):
-                if mask is None:
-                    idx = slice(None)
-                else:
-                    idx = mask.nonzero()[0]
-                    if not len(idx):
-                        continue
-                new = None
-                for pos, table, base in ends:
-                    side = table.take(np.add.outer(sub[combo[pos], idx], base),
-                                      mode="clip")
-                    new = side if new is None else np.bitwise_and(new, side, out=new)
-                bits[idx] |= new
+            _or_level(bits, sub, rel, ends)
         if t < m:
             first = change
     if bits is None:  # rows shorter than the pattern head
@@ -240,7 +259,8 @@ def _forbidden(E, plan, layer_rows=None):
 
 
 def _grow(E, s, forbidden):
-    """The next layer: each row of E followed by each value below s not forbidden.
+    """(next layer, children per row of E): each row of E followed by each
+    value below s not forbidden.
 
     Lexicographic order, column-major storage and E's dtype carry over.
     """
@@ -257,13 +277,13 @@ def _grow(E, s, forbidden):
     for j in range(m):
         out[:, j] = E[:, j].repeat(counts)
     out[:, m] = np.arange(s, dtype=E.dtype)[None].repeat(rows, 0)[keep]
-    return out
+    return out, counts
 
 
 def _count_after(E, plan, s):
     """Rows of the layer after E at bound s, from the forbidden bits of at
     most _BLOCK rows at a time."""
-    return sum(_count_next(_forbidden(E[lo:lo + _BLOCK], plan, len(E)), s)
+    return sum(_count_next(_forbidden(E[lo:lo + _BLOCK], plan, layer_rows=len(E)), s)
                for lo in range(0, len(E), _BLOCK))
 
 
@@ -289,17 +309,21 @@ def avoider_steps(bounds, pattern):
     """
     bounds = validate_bounds(bounds)
     plan = _plan(pattern, bounds)
-    E = _empty_layer(bounds)
+    E, parent = _empty_layer(bounds), None
     for s in bounds:
-        E = _grow(E, s, _forbidden(E, plan))
+        forbidden = _forbidden(E, plan, parent)
+        E, counts = _grow(E, s, forbidden)
+        parent = forbidden, counts
         yield E
 
 
 def count_steps(bounds, pattern):
     """Yield |I_{S_m}(pattern)| for each prefix S_m of the bound set, in order.
 
-    The lengths before the last are read from `avoider_steps`; the last is
-    counted from the forbidden bits of its parent layer and never built.
+    The lengths before the last are read from `avoider_steps`, looked up on
+    this module at each call, so a wrapper put there sees every layer built.
+    The last is counted from its parent layer's bits and never built; that
+    layer comes bare, so the count walks its prefixes (see _forbidden).
     """
     bounds = validate_bounds(bounds)
     if not bounds:
@@ -328,11 +352,12 @@ def subset_total(ground, pattern):
         return 1
     plan = _plan(pattern, ground)
 
-    def walk(E, lo):
-        forbidden = _forbidden(E, plan)
+    def walk(E, lo, parent=None):
+        forbidden = _forbidden(E, plan, parent)
         total = E.shape[0] + _count_next(forbidden, ground[-1])
         for i in range(lo, len(ground) - 1):
-            total += walk(_grow(E, ground[i], forbidden), i + 1)
+            child, counts = _grow(E, ground[i], forbidden)
+            total += walk(child, i + 1, (forbidden, counts))
         return total
 
     return walk(_empty_layer(ground), 0)

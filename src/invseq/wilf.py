@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product, repeat
 
@@ -55,6 +54,7 @@ def classify(length, n_max, threads=os.cpu_count() or 1):
     patterns = canonical_patterns(length)
     workers = min(threads, os.cpu_count() or 1, len(patterns))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             vectors = list(pool.map(count_vector, patterns, repeat(n_max)))
     else:

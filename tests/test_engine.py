@@ -2,7 +2,7 @@ import gc
 import time
 import tracemalloc
 from functools import lru_cache
-from itertools import product
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from invseq import (
     canonical_patterns,
+    check_0021_conjecture,
     count_avoiders,
     count_vector,
     engine,
     enumerate_avoiders,
+    first_divergence,
 )
 from invseq.core import as_pattern, contains, ordinary_bounds
 from invseq.engine import (
@@ -88,6 +90,67 @@ def test_blocked_counts_match_unblocked(monkeypatch, pattern):
     unblocked = list(count_steps(ordinary_bounds(9), pattern))
     monkeypatch.setattr(engine, "_BLOCK", 61)
     assert list(count_steps(ordinary_bounds(9), pattern)) == unblocked
+
+
+def _carried_and_walked(bounds, pattern):
+    """Yield (layer, carried bits, walked bits) as avoider_steps grows each
+    layer: carried bits start from the parent's, walked bits from none."""
+    plan = engine._plan(pattern, bounds)
+    E, parent = engine._empty_layer(bounds), None
+    for s in bounds:
+        forbidden = engine._forbidden(E, plan, parent)
+        yield E, forbidden, engine._forbidden(E, plan)
+        E, counts = engine._grow(E, s, forbidden)
+        parent = forbidden, counts
+
+
+@pytest.mark.parametrize("bounds, patterns", [
+    (ordinary_bounds(8), [p for n in (1, 2, 3, 4) for p in canonical_patterns(n)]),
+] + [(bounds, _WIDE_PATTERNS) for bounds in _WIDE_BOUNDS],
+    ids=["ordinary-8"] + [f"wide-{b}" for b in _WIDE_BOUNDS])
+def test_carried_bits_equal_walked_bits(bounds, patterns):
+    # Every word, not only those below the next bound.
+    for p in patterns:
+        steps = avoider_steps(bounds, p)
+        for m, (E, carried, walked) in enumerate(_carried_and_walked(bounds, p)):
+            assert np.array_equal(carried, walked), (str(as_pattern(p)), m)
+            if m:
+                assert np.array_equal(E, next(steps)), (str(as_pattern(p)), m)
+
+
+@pytest.mark.parametrize("pattern", ["3201", "0021", "0231", "1302", "0101", "1001"])
+def test_subset_total_matches_subset_sums(pattern):
+    # 0231 and 1302 take both interval ends away from the last column, so no
+    # head matches share a group; 0101 and 1001 end on a tie.
+    ground = range(1, 8)
+    subsets = chain.from_iterable(combinations(ground, r) for r in range(8))
+    want = sum(count_avoiders(S, pattern) for S in subsets)
+    assert engine.subset_total(ground, pattern) == want
+
+
+def test_counts_draw_their_layers_from_avoider_steps(monkeypatch):
+    # A wrapper on engine.avoider_steps, as a tracer installs, sees every
+    # call with its whole bound tuple and each layer before the last.
+    real, calls = engine.avoider_steps, []
+
+    def recording(bounds, pattern):
+        rows = []
+        calls.append((bounds, str(as_pattern(pattern)), rows))
+        for E in real(bounds, pattern):
+            rows.append(E.shape[0])
+            yield E
+
+    monkeypatch.setattr(engine, "avoider_steps", recording)
+    assert count_vector("3201", 8).counts[-1] == 40074
+    assert first_divergence("2001", "2011", 8) is None
+    assert check_0021_conjecture(8)[0]
+    bounds = ordinary_bounds(8)
+    assert calls == [
+        (bounds, "3201", [1, 2, 6, 24, 120, 720, 5034]),
+        (bounds, "2001", [1, 2, 6, 24, 120, 718, 4982]),
+        (bounds, "2011", [1, 2, 6, 24, 120, 718, 4982]),
+        (bounds, "0021", [1, 2, 6, 23, 101, 480, 2400]),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -167,12 +230,14 @@ def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds, block)
         return out
 
     plan = engine._plan(pattern, bounds)
-    E = engine._empty_layer(bounds)
+    E, parent = engine._empty_layer(bounds), None
     tracemalloc.start()
     try:
+        # As avoider_steps does: each step starts from its parent's bits.
         for s in bounds[:-1]:
-            forbidden = measure(len(E), engine._forbidden, E, plan)
-            E = measure(len(E), engine._grow, E, s, forbidden)
+            forbidden = measure(len(E), engine._forbidden, E, plan, parent)
+            E, counts = measure(len(E), engine._grow, E, s, forbidden)
+            parent = forbidden, counts
         count = measure(len(E), engine._count_after, E, plan, bounds[-1])
         if block:  # the whole layer's bits at once, as one block
             monkeypatch.setattr(engine, "_BLOCK", len(E))

@@ -1,4 +1,7 @@
+import concurrent.futures
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -67,13 +70,24 @@ class TestClassify:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(wilf, "ProcessPoolExecutor", SerialPool)
+        # classify imports the pool class from concurrent.futures when it runs.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = classify(2, 3, threads=1)
         assert asked == []
         assert classify(2, 3, threads=64) == serial
         assert classify(2, 3) == serial  # the default, as the CLI runs it
         cap = min(64, os.cpu_count() or 1, 3)
         assert asked == ([cap, cap] if cap > 1 else [])
+
+    def test_import_leaves_the_pool_unloaded(self):
+        # multiprocessing is loaded only when classify starts a pool.
+        code = "import sys, invseq; print('multiprocessing' in sys.modules)"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_threads_below_one_refused(self):
         with pytest.raises(ValueError, match="threads"):
