@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ge
 
 
 def _cmp(x, y):
@@ -80,10 +81,10 @@ def as_pattern(x):
 
 def validate_bounds(bounds):
     """Check a bound set: strictly increasing positive integers."""
-    bounds = tuple(int(s) for s in bounds)
-    if any(s < 1 for s in bounds):
+    bounds = tuple(map(int, bounds))
+    if bounds and min(bounds) < 1:
         raise ValueError("bounds must be positive")
-    if any(a >= b for a, b in zip(bounds, bounds[1:])):
+    if any(map(ge, bounds, bounds[1:])):
         raise ValueError("bounds must be strictly increasing")
     return bounds
 

@@ -52,12 +52,12 @@ def count_avoiders(bounds, pattern, engine_name="fast"):
     """
     if engine_name not in ("fast", "reference"):
         raise ValueError(f"unknown engine {engine_name!r}")
-    bounds = validate_bounds(bounds)
-    if not bounds:
-        return 1
     if engine_name == "reference":
         return sum(1 for _ in enumerate_avoiders(bounds, pattern))
-    return list(engine.count_steps(bounds, pattern))[-1]
+    count = 1  # the empty sequence, when there are no bounds
+    for count in engine.count_steps(bounds, pattern):  # which validates them
+        pass
+    return count
 
 
 def count_avoiders_n(n, pattern, engine_name="fast"):

@@ -11,26 +11,32 @@ complete an occurrence. For a choice of L-1 columns whose values realize
 the pattern head p[:L-1], those values form one interval: v must lie above
 every entry whose pattern value is below p[L-1], below every entry whose
 pattern value is above it, and equal to any tied entry; choices sharing
-the columns of the interval's ends share it, so it is found once for them.
+the columns of the interval's ends share it, so it is found once for them,
+and where one end is at the last column for every choice, a row's intervals
+all share that end, so their union is one interval, found once per row.
 The forbidden values of a row are bits in uint64 words, ceil(largest bound
 / 64) words per row, so their union is a bitwise OR; the children whose bit
 is clear survive. A grown row starts from its parent's bits, which hold
 every occurrence ending before its last column, so a growth step tests
 only the choices ending there. A count of the last length, rows × s minus
-the set bits below s, builds no layer and gets its parent layer bare from
-`avoider_steps`, so it walks prefixes: an occurrence whose head ends at
-column t-1 depends only on the length-t prefix, and rows sharing a prefix
-are adjacent, so a walk over t = 1..m tests it once per distinct prefix and
-passes the bits down. It walks at most _BLOCK rows at a time; a block's
-first row starts a new prefix, so block edges change no bit, and the count
-never holds the bits of a whole layer. Layers are stored column-major, so
-each column comparison reads contiguous memory. Entries use the narrowest
-signed integer dtype that holds the largest bound minus one, so none wraps.
+the set bits below s, builds no layer. `avoider_steps` yields its layers
+bare, so the count keeps the last two it draws and walks the prefixes of
+the older one: an occurrence whose head ends at column t-1 depends only on
+the length-t prefix, and rows sharing a prefix are adjacent, so a walk over
+t = 1..m tests it once per distinct prefix and passes the bits down. Those
+bits are carried into the newer layer, the rows grown from them, as in a
+growth step. The count takes at most _BLOCK rows of the newer layer at a
+time, with the rows they grew from; a block's first row starts a new
+prefix, so block edges change no bit, and the count never holds the bits
+of a whole layer. Layers are stored column-major, so each column
+comparison reads contiguous memory. Entries use the narrowest signed
+integer dtype that holds the largest bound minus one, so none wraps.
 
 Each step first predicts its bytes from its shape and, if they exceed the
 memory the OS reports available, raises MemoryError before it allocates.
-A count done in blocks predicts one block's arrays, and its refusal names
-the whole layer.
+The OS is asked again only when a step needs more than its last answer
+left after the steps since. A count done in blocks predicts one block's
+arrays, and its refusal names the whole layer.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import os
 from functools import lru_cache
 from itertools import islice
 from math import comb, prod
+from operator import itemgetter
 
 import numpy as np
 
@@ -90,43 +97,90 @@ def _interval_ends(p):
 
 
 def _plan(pattern, bounds):
-    """What every growth step for `pattern` over `bounds` needs (see _pattern_plan)."""
-    words = -(-max(bounds, default=1) // _WORD)
-    return _pattern_plan(as_pattern(pattern).entries) + (words,)
+    """What every growth step for `pattern` over `bounds` needs: (rel, ends,
+    union, words), words being the uint64 words per row (see _pattern_plan).
+
+    Each end's per-word indices are built here, once per call, after their
+    memory is reserved.
+    """
+    top = max(bounds, default=1)
+    words = -(-top // _WORD)
+    rel, ends, union = _pattern_plan(as_pattern(pattern).entries)
+    _reserve(8 * words * len(ends), "indexing the forbidden values below {:,}", top)
+    # Word w holds the values 64w..64w+63; clipping the index to 0..64
+    # leaves a word all clear or all set past its range.
+    ends = tuple((pos, table, np.arange(offset, offset - _WORD * words, -_WORD))
+                 for pos, table, offset in ends)
+    return rel, ends, union, words
 
 
 @lru_cache(maxsize=64)
 def _pattern_plan(p):
-    """(rel, ends) for pattern entries p; _plan adds the uint64 words per row.
+    """(rel, ends, union) for pattern entries p (see _plan).
 
     rel is core's relation table cut to the pattern head: rel[t][a] is the
     sign of p[t] - p[a] for a < t < len(p) - 1. ends has one (head
     position, table, offset) for each end of the forbidden interval (see
     _interval_ends): for the matched head value x at that position,
     table.take(x + offset - 64 * w, mode="clip") is word w of the values
-    on the interval's side of that end, so their AND is the interval. Each
-    step builds these indices once it has reserved their memory.
+    on the interval's side of that end, so their AND is the interval.
+    union is None unless exactly one end sits at the last head position,
+    which every head match puts at the level's last column: then all the
+    intervals of a row share that end, their union is one interval, and
+    union is (i, extreme) for the other end, ends[i], whose widest value
+    over the matches is np.minimum of starts or np.maximum of stops.
     """
     k = len(p) - 1
     rel = _relations(p)[:k]
+    start, stop = _interval_ends(p)
     ends = tuple((end[0], table, end[1])
-                 for end, table in zip(_interval_ends(p), (_HIGH, _LOW))
+                 for end, table in zip((start, stop), (_HIGH, _LOW))
                  if end is not None)
-    return rel, ends
+    union = None
+    if start and stop and (start[0] == k - 1) != (stop[0] == k - 1):
+        vary = 1 if start[0] == k - 1 else 0
+        union = vary, (np.minimum, np.maximum)[vary]
+    return rel, ends, union
+
+
+# What the last reading of free memory left after the requests granted
+# since it (see _budget). A forked child has made no request yet, but its
+# parent's reading is shared with every other child, so it reads its own.
+_slack = 0
+
+
+def _forget_reading():
+    global _slack
+    _slack = 0
+
+
+os.register_at_fork(after_in_child=_forget_reading)
 
 
 def _budget(need):
-    """Bytes of memory free, or, once `need` exceeds that, MemAvailable, which
-    also counts the page cache the kernel can drop but costs a file read."""
-    free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need <= free:
-        return free
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            return next((int(line.split()[1]) * 1024 for line in fh
-                         if line.startswith("MemAvailable:")), free)
-    except OSError:
-        return free
+    """Bytes of memory available to a request of `need` bytes.
+
+    A request within what the last reading left, after every request
+    granted since, is granted without a new reading: those requests bound
+    what this process can have taken since, whatever it gave back. Otherwise
+    it reads the free memory, or, once `need` exceeds that, MemAvailable,
+    which also counts the page cache the kernel can drop but costs a file
+    read.
+    """
+    global _slack
+    budget = _slack
+    if need > budget:
+        budget = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > budget:
+            try:
+                with open("/proc/meminfo", encoding="ascii") as fh:
+                    budget = next((int(line.split()[1]) * 1024 for line in fh
+                                   if line.startswith("MemAvailable:")), budget)
+            except OSError:
+                pass
+        _slack = budget
+    _slack -= need
+    return budget
 
 
 def _reserve(nbytes, step, *args):
@@ -150,17 +204,21 @@ def _head_matches(cols, rel, combo=(), mask=None):
     built incrementally, so choices sharing a prefix share its comparisons.
     """
     k, last, t = len(rel), len(cols) - 1, len(combo)
-    if t == k - 1:
+    if t == k - 1:  # a one-letter head
         yield combo + (last,), mask
         return
+    x = cols[last]
     for c in range(combo[-1] + 1 if combo else 0, last - k + t + 2):
         y = cols[c]
-        sub = _compare(cols[last], y, rel[k - 1][t])
+        sub = _compare(x, y, rel[k - 1][t])
         for a in range(t):
             sub &= _compare(y, cols[combo[a]], rel[t][a])
         if mask is not None:
             sub &= mask
-        yield from _head_matches(cols, rel, combo + (c,), sub)
+        if t == k - 2:
+            yield combo + (c, last), sub
+        else:
+            yield from _head_matches(cols, rel, combo + (c,), sub)
 
 
 def _run_lengths(first):
@@ -169,23 +227,47 @@ def _run_lengths(first):
     return edges[1:] - edges[:-1]
 
 
-def _or_level(bits, sub, rel, ends):
+def _or_level(bits, sub, rel, ends, union):
     """OR into `bits` the intervals of the head matches ending at the last
-    column of `sub`, once per group of matches with the same end columns."""
-    groups = {}
+    column of `sub`: once per group of matches with the same end columns,
+    or once per row where one end is shared (union, see _pattern_plan)."""
+    key = itemgetter(*[pos for pos, _, _ in ends])
+    groups = {}  # a group's first match and the OR of its masks, by end columns
     for combo, mask in _head_matches(sub, rel):
-        key = tuple(combo[pos] for pos, _, _ in ends)
-        held = groups.get(key)
-        groups[key] = mask if held is None else np.bitwise_or(held, mask, out=held)
-    for key, mask in groups.items():
+        held = groups.setdefault(key(combo), (combo, mask))
+        if held[1] is not mask:
+            np.bitwise_or(held[1], mask, out=held[1])
+    if union is not None and len(groups) > 1:
+        # Per row, the other end's widest offset from the shared end's value
+        # over the groups it matches: a matched value lies strictly beyond
+        # the shared one, so the offset is 0 where no group matches.
+        vary, extreme = union
+        pos = ends[vary][0]
+        shared = sub[-1]
+        reach, offset = np.zeros_like(shared), np.empty_like(shared)
+        for combo, mask in groups.values():
+            np.subtract(sub[combo[pos]], shared, out=offset)
+            offset *= mask
+            extreme(reach, offset, out=reach)
+        idx = reach.nonzero()[0]
+        values = [shared[idx]] * 2
+        values[vary] = values[vary] + reach[idx]
+        _or_interval(bits, idx, values, ends)
+        return
+    for combo, mask in groups.values():
         idx = slice(None) if mask is None else mask.nonzero()[0]
-        if mask is not None and not len(idx):
-            continue
-        new = None
-        for col, (_, table, base) in zip(key, ends):
-            side = table.take(np.add.outer(sub[col, idx], base), mode="clip")
-            new = side if new is None else np.bitwise_and(new, side, out=new)
-        bits[idx] |= new
+        _or_interval(bits, idx, [sub[combo[pos], idx] for pos, _, _ in ends], ends)
+
+
+def _or_interval(bits, idx, values, ends):
+    """OR into bits[idx] the interval whose end ends[i] has value values[i]."""
+    if isinstance(idx, np.ndarray) and not len(idx):
+        return
+    new = None
+    for vals, (_, table, base) in zip(values, ends):
+        side = table.take(np.add.outer(vals, base), mode="clip")
+        new = side if new is None else np.bitwise_and(new, side, out=new)
+    bits[idx] |= new
 
 
 def _forbidden(E, plan, parent=None, layer_rows=None):
@@ -200,7 +282,7 @@ def _forbidden(E, plan, parent=None, layer_rows=None):
     takes its first row as a new prefix, so each row gets the bits it has
     in the whole layer, and `layer_rows` names that layer's rows in a refusal.
     """
-    rel, ends, words = plan
+    rel, ends, union, words = plan
     rows, m = E.shape
     k = len(rel)
     # At most one group per choice, or per value of each end column that is
@@ -210,21 +292,17 @@ def _forbidden(E, plan, parent=None, layer_rows=None):
     # Bytes per row at the last level: the bits; one mask per group of head
     # matches sharing their ends and k - 1 more; for the rows one group
     # selects (at most all), three arrays of their size (the interval's two
-    # sides, their bits) and their positions; the prefix flags. Once per
-    # step, each end's per-word indices.
-    per_row = 32 * words + groups + k + 8
+    # sides, their bits) and their positions; the prefix flags; where one
+    # end is shared, the other's reach and the flags of the rows it moved.
+    per_row = 32 * words + groups + k + 9 + E.itemsize
     step = "finding the values forbidden after {:,} rows of length {}"
-    _reserve(rows * per_row + 8 * words * len(ends), step, layer_rows or rows, m)
+    _reserve(rows * per_row, step, layer_rows or rows, m)
     if not k:  # a one-letter pattern: every value completes it
         return np.full((rows, words), _LOW[-1], dtype=_BITS)
-    # Word w holds the values 64w..64w+63; clipping the index to 0..64
-    # leaves a word all clear or all set past its range.
-    ends = [(pos, table, np.arange(offset, offset - _WORD * words, -_WORD))
-            for pos, table, offset in ends]
     cols = E.T
     if parent is not None:
         bits = parent[0].repeat(parent[1], axis=0)
-        _or_level(bits, cols, rel, ends)  # none when m < k
+        _or_level(bits, cols, rel, ends, union)  # none when m < k
         return bits
     # first[r]: row r is the first of its length-(t-1) prefix.
     first = np.zeros(rows, dtype=bool)
@@ -250,7 +328,7 @@ def _forbidden(E, plan, parent=None, layer_rows=None):
                 bits = np.zeros((sub.shape[1], words), dtype=_BITS)
             else:
                 bits = bits.repeat(_run_lengths(first[reps]), axis=0)
-            _or_level(bits, sub, rel, ends)
+            _or_level(bits, sub, rel, ends, union)
         if t < m:
             first = change
     if bits is None:  # rows shorter than the pattern head
@@ -272,7 +350,7 @@ def _grow(E, s, forbidden):
     keep = np.unpackbits(forbidden.view(np.uint8), axis=1, count=s,
                          bitorder="little").view(bool)
     np.logical_not(keep, out=keep)
-    counts = np.add.reduce(keep, axis=1)
+    counts = _children(forbidden, s)
     out = np.empty((int(counts.sum()), m + 1), dtype=E.dtype, order="F")
     for j in range(m):
         out[:, j] = E[:, j].repeat(counts)
@@ -280,20 +358,48 @@ def _grow(E, s, forbidden):
     return out, counts
 
 
-def _count_after(E, plan, s):
-    """Rows of the layer after E at bound s, from the forbidden bits of at
-    most _BLOCK rows at a time."""
-    return sum(_count_next(_forbidden(E[lo:lo + _BLOCK], plan, layer_rows=len(E)), s)
-               for lo in range(0, len(E), _BLOCK))
+def _children(forbidden, s):
+    """Per row, the values below s whose forbidden bits are clear."""
+    full, rest = divmod(s, _WORD)
+    if full:
+        taken = np.bitwise_count(forbidden[:, :full]).sum(axis=1, dtype=np.intp)
+        if rest:
+            taken += np.bitwise_count(forbidden[:, full] & _LOW[rest])
+    else:  # one word, counted in bytes
+        taken = np.bitwise_count(forbidden[:, 0] & _LOW[rest])
+    return np.subtract(s, taken, out=taken)
+
+
+def _count_after(P, E, plan, bounds):
+    """Rows of the layer after E at bound bounds[-1], never built.
+
+    E grew from P, the layer before it at bound bounds[-2], whose bits are
+    walked (see _forbidden) in blocks of rows that have at most _BLOCK
+    children; the popcount of a P row's bits below bounds[-2] gives its
+    children, the next rows of E, whose bits are carried from it. A P row
+    with more than _BLOCK children has them taken _BLOCK at a time. P is
+    None when E is the empty layer, which is walked.
+    """
+    s = bounds[-1]
+    if P is None:
+        return _count_next(_forbidden(E, plan), s)
+    width = bounds[-2]
+    step = max(1, _BLOCK // width)
+    total = hi = 0
+    for a in range(0, len(P), step):
+        bits = _forbidden(P[a:a + step], plan, layer_rows=len(P))
+        counts = _children(bits, width)
+        lo, hi = hi, hi + int(counts.sum())
+        for c in range(lo, hi, _BLOCK):
+            rows = min(_BLOCK, hi - c)
+            parent = (bits, counts) if rows == hi - lo else (bits, [rows])
+            total += _count_next(_forbidden(E[c:c + rows], plan, parent, len(E)), s)
+    return total
 
 
 def _count_next(forbidden, s):
     """Rows of the next layer, never built: a popcount of the bits below s."""
-    full, rest = divmod(s, _WORD)
-    taken = np.bitwise_count(forbidden[:, full] & _LOW[rest]).sum() if rest else 0
-    if full:
-        taken += np.bitwise_count(forbidden[:, :full]).sum()
-    return forbidden.shape[0] * s - int(taken)
+    return int(_children(forbidden, s).sum())
 
 
 def _empty_layer(bounds):
@@ -322,19 +428,22 @@ def count_steps(bounds, pattern):
 
     The lengths before the last are read from `avoider_steps`, looked up on
     this module at each call, so a wrapper put there sees every layer built.
-    The last is counted from its parent layer's bits and never built; that
-    layer comes bare, so the count walks its prefixes (see _forbidden).
+    The last is counted and never built: the generator yields bare layers,
+    so the count keeps the last two it drew and carries the bits of the
+    older, walked, into the newer (see _count_after).
     """
     bounds = validate_bounds(bounds)
     if not bounds:
         return
     pattern = as_pattern(pattern)
-    E = _empty_layer(bounds)
+    plan = _plan(pattern, bounds)
     steps = avoider_steps(bounds, pattern)
-    for E in islice(steps, len(bounds) - 1):
-        yield E.shape[0]
+    P, E = None, _empty_layer(bounds)
+    for layer in islice(steps, len(bounds) - 1):
+        yield layer.shape[0]
+        P, E = E, layer
     steps.close()
-    yield _count_after(E, _plan(pattern, bounds), bounds[-1])
+    yield _count_after(P, E, plan, bounds)
 
 
 def subset_total(ground, pattern):

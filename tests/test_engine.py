@@ -1,4 +1,5 @@
 import gc
+import os
 import time
 import tracemalloc
 from functools import lru_cache
@@ -118,6 +119,34 @@ def test_carried_bits_equal_walked_bits(bounds, patterns):
                 assert np.array_equal(E, next(steps)), (str(as_pattern(p)), m)
 
 
+_ALL_UP_TO_4 = [p for n in (1, 2, 3, 4) for p in canonical_patterns(n)]
+
+
+@pytest.mark.parametrize("bounds, patterns, blocks", [
+    (ordinary_bounds(9), _ALL_UP_TO_4, (None, 4099)),
+    # 61 rows split the layers before the last anywhere; over [9] it takes
+    # half a minute, so it runs over [7].
+    (ordinary_bounds(7), _ALL_UP_TO_4, (61,)),
+] + [(bounds, _WIDE_PATTERNS, (None, 4099, 61)) for bounds in _WIDE_BOUNDS],
+    ids=["ordinary-9", "ordinary-7"] + [f"wide-{b}" for b in _WIDE_BOUNDS])
+def test_carried_last_count_equals_walked_count(monkeypatch, bounds, patterns, blocks):
+    # Every length is counted as the last one. With 61-row blocks, a row of
+    # the layer before the parent may have more children (65, 66 or 130)
+    # than a block holds, and many of its rows have none.
+    for p in patterns:
+        plan = engine._plan(p, bounds)
+        layers = [engine._empty_layer(bounds), *avoider_steps(bounds[:-1], p)]
+        walked = [engine._count_next(engine._forbidden(E, plan), s)
+                  for E, s in zip(layers, bounds)]
+        for block in blocks:
+            if block:
+                monkeypatch.setattr(engine, "_BLOCK", block)
+            carried = [engine._count_after(layers[n - 2] if n > 1 else None,
+                                           layers[n - 1], plan, bounds[:n])
+                       for n in range(1, len(bounds) + 1)]
+            assert carried == walked, (str(as_pattern(p)), block)
+
+
 @pytest.mark.parametrize("pattern", ["3201", "0021", "0231", "1302", "0101", "1001"])
 def test_subset_total_matches_subset_sums(pattern):
     # 0231 and 1302 take both interval ends away from the last column, so no
@@ -230,18 +259,19 @@ def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds, block)
         return out
 
     plan = engine._plan(pattern, bounds)
-    E, parent = engine._empty_layer(bounds), None
+    P, E, parent = None, engine._empty_layer(bounds), None
     tracemalloc.start()
     try:
         # As avoider_steps does: each step starts from its parent's bits.
         for s in bounds[:-1]:
             forbidden = measure(len(E), engine._forbidden, E, plan, parent)
-            E, counts = measure(len(E), engine._grow, E, s, forbidden)
-            parent = forbidden, counts
-        count = measure(len(E), engine._count_after, E, plan, bounds[-1])
-        if block:  # the whole layer's bits at once, as one block
-            monkeypatch.setattr(engine, "_BLOCK", len(E))
-            assert measure(len(E), engine._count_after, E, plan, bounds[-1]) == count
+            layer, counts = measure(len(E), engine._grow, E, s, forbidden)
+            P, E, parent = E, layer, (forbidden, counts)
+        # As count_steps does: E's bits carried from P's, walked.
+        count = measure(len(E), engine._count_after, P, E, plan, bounds)
+        if block:  # the whole count as one block
+            monkeypatch.setattr(engine, "_BLOCK", len(P) * bounds[-2])
+            assert measure(len(E), engine._count_after, P, E, plan, bounds) == count
             assert peaks[-2] < peaks[-1] / 4
     finally:
         tracemalloc.stop()
@@ -252,10 +282,11 @@ def test_step_refused_before_it_allocates(monkeypatch):
     needs = []
     monkeypatch.setattr(engine, "_budget", lambda need: needs.append(need) or 10**6)
     for count, where in (
-        (lambda: count_vector("3201", 9), "length 8"),
-        # The first step's per-word indices, 2^21 words for the bound 2^27,
-        # are reserved by the step, not built ahead of it by the plan.
-        (lambda: count_avoiders((3, 2**27), "10"), "1 rows of length 0"),
+        # The last count's carried step, named by its whole layer.
+        (lambda: count_vector("3201", 9), "40,074 rows of length 8"),
+        # The per-word indices, 2^21 words for the bound 2^27, are reserved
+        # by the plan before it builds them.
+        (lambda: count_avoiders((3, 2**27), "10"), "values below 134,217,728"),
     ):
         tracemalloc.start()
         try:
@@ -268,6 +299,28 @@ def test_step_refused_before_it_allocates(monkeypatch):
         assert refused > 10**6
         assert where in str(exc.value) and f"{refused:,} bytes" in str(exc.value)
         assert peak < min(refused, 10**6), where
+
+
+def test_free_memory_read_only_past_the_last_reading(monkeypatch):
+    # A reading of 10^7 bytes lasts until the requests granted since would
+    # exceed it; a forked child starts without one.
+    reads, needs, budget = [], [], engine._budget
+    monkeypatch.setattr(engine, "_slack", 0)
+    monkeypatch.setattr(os, "sysconf", lambda name: reads.append(name) or (
+        10**7 if name == "SC_AVPHYS_PAGES" else 1))
+    monkeypatch.setattr(engine, "_budget", lambda need: needs.append(need) or budget(need))
+    for _ in range(20):
+        assert count_avoiders((1, 3, 5, 8), "2201") == 120
+    left, readings = 0, 0
+    for need in needs:
+        if need > left:
+            left, readings = 10**7, readings + 1
+        left -= need
+    assert len(reads) == 2 * readings and readings < len(needs) / 10
+    pid = os.fork()
+    if not pid:
+        os._exit(engine._slack != 0)
+    assert os.waitpid(pid, 0)[1] == 0
 
 
 def test_step_that_cannot_fit_is_refused_quickly():
