@@ -84,6 +84,8 @@ def cmd_count(args):
     if (args.n is None) == (args.set is None):
         raise UsageError("provide exactly one of --n or --set")
     if args.set is not None:
+        if args.vector:
+            raise UsageError("--vector needs --n: a bound set has one count")
         bounds = _parse_set(args.set)
         report.add(set=",".join(map(str, bounds)), pattern=str(pattern),
                    count=counting.count_avoiders(bounds, pattern))
@@ -242,7 +244,7 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--set")
     p.add_argument("--vector", action="store_true",
-                   help="emit the whole count vector 1..n")
+                   help="emit the whole count vector 1..n (with --n)")
     _add_common(p)
     p.set_defaults(fn=cmd_count)
 

@@ -20,17 +20,16 @@ is clear survive. A grown row starts from its parent's bits, which hold
 every occurrence ending before its last column, so a growth step tests
 only the choices ending there. A count of the last length, rows × s minus
 the set bits below s, builds no layer. `avoider_steps` yields its layers
-bare, so the count keeps the last two it draws and walks the prefixes of
-the older one: an occurrence whose head ends at column t-1 depends only on
-the length-t prefix, and rows sharing a prefix are adjacent, so a walk over
-t = 1..m tests it once per distinct prefix and passes the bits down. Those
-bits are carried into the newer layer, the rows grown from them, as in a
-growth step. The count takes at most _BLOCK rows of the newer layer at a
-time, with the rows they grew from; a block's first row starts a new
-prefix, so block edges change no bit, and the count never holds the bits
-of a whole layer. Layers are stored column-major, so each column
-comparison reads contiguous memory. Entries use the narrowest signed
-integer dtype that holds the largest bound minus one, so none wraps.
+bare, so the count reads the bits of the last layer's parents off that
+layer: a parent's children, adjacent rows sharing its prefix, end in the
+values below their bound b that its bits leave clear, and b - 1 and every
+larger value lie above all the parent's entries, so they share one bit.
+Those bits are carried into the children as in a growth step. The count
+takes at most max(_BLOCK, b) rows at a time, cut where a parent's
+children start, so it never holds the bits of a whole layer. Layers are
+stored column-major, so each column comparison reads contiguous memory.
+Entries use the narrowest signed integer dtype that holds the largest
+bound minus one, so none wraps.
 
 Each step first predicts its bytes from its shape and, if they exceed the
 memory the OS reports available, raises MemoryError before it allocates.
@@ -221,12 +220,6 @@ def _head_matches(cols, rel, combo=(), mask=None):
             yield from _head_matches(cols, rel, combo + (c,), sub)
 
 
-def _run_lengths(first):
-    """Lengths of the runs of rows that start where `first` is set."""
-    edges = np.concatenate((first, [True])).nonzero()[0]
-    return edges[1:] - edges[:-1]
-
-
 def _or_level(bits, sub, rel, ends, union):
     """OR into `bits` the intervals of the head matches ending at the last
     column of `sub`: once per group of matches with the same end columns,
@@ -275,12 +268,10 @@ def _forbidden(E, plan, parent=None, layer_rows=None):
 
     Returns a (rows, words) uint64 array in which bit v % 64 of word v // 64
     of row r is set when row r followed by v contains the pattern. `parent`
-    is (bits, counts) of the layer `_grow` made E from; its bits hold every
-    occurrence ending before the last column. Without it, a walk over
-    prefixes needs E's rows distinct and in lexicographic order, as every
-    layer is. E may then be a run of consecutive rows of a layer: the walk
-    takes its first row as a new prefix, so each row gets the bits it has
-    in the whole layer, and `layer_rows` names that layer's rows in a refusal.
+    is (bits, counts) of the rows E grew from, counts[i] of them from the
+    ith; its bits hold every occurrence ending before the last column. It
+    is None only for the empty layer. E may be a run of consecutive rows
+    of a layer, whose rows `layer_rows` names in a refusal.
     """
     rel, ends, union, words = plan
     rows, m = E.shape
@@ -289,50 +280,20 @@ def _forbidden(E, plan, parent=None, layer_rows=None):
     # not the last (m - k + 1 values each).
     free = {pos for pos, _, _ in ends if pos < k - 1}
     groups = min(comb(m - 1, k - 1), (m - k + 1) ** len(free)) if m >= k > 0 else 0
-    # Bytes per row at the last level: the bits; one mask per group of head
-    # matches sharing their ends and k - 1 more; for the rows one group
-    # selects (at most all), three arrays of their size (the interval's two
-    # sides, their bits) and their positions; the prefix flags; where one
-    # end is shared, the other's reach and the flags of the rows it moved.
-    per_row = 32 * words + groups + k + 9 + E.itemsize
-    step = "finding the values forbidden after {:,} rows of length {}"
-    _reserve(rows * per_row, step, layer_rows or rows, m)
+    # Bytes per row: the bits; one mask per group of head matches sharing
+    # their ends and k - 1 more; for the rows one group selects (at most
+    # all), three arrays of their size (the interval's two sides, their
+    # bits) and their positions; where one end is shared, the other's reach
+    # and the flags of the rows it moved.
+    per_row = 32 * words + groups + k + 8 + E.itemsize
+    _reserve(rows * per_row, "finding the values forbidden after {:,} rows of length {}",
+             layer_rows or rows, m)
     if not k:  # a one-letter pattern: every value completes it
         return np.full((rows, words), _LOW[-1], dtype=_BITS)
-    cols = E.T
-    if parent is not None:
-        bits = parent[0].repeat(parent[1], axis=0)
-        _or_level(bits, cols, rel, ends, union)  # none when m < k
-        return bits
-    # first[r]: row r is the first of its length-(t-1) prefix.
-    first = np.zeros(rows, dtype=bool)
-    first[:1] = True
-    bits = None  # per distinct length-t prefix, from level k on
-    for t in range(1, m + 1):
-        if t < m:
-            change = np.empty(rows, dtype=bool)
-            change[:1] = True
-            np.not_equal(cols[t - 1, 1:], cols[t - 1, :-1], out=change[1:])
-            change |= first
-        if t >= k:  # an occurrence ending at column t - 1 needs k - 1 before it
-            if t < m:
-                reps = change.nonzero()[0]
-                # Also both flag arrays, and per prefix its row and t columns.
-                need = 2 * rows + len(reps) * (per_row + 7 + t * E.itemsize)
-                if need > rows * per_row:
-                    _reserve(need, step, layer_rows or rows, m)
-                sub = cols[:t].take(reps, axis=1)
-            else:  # each row is its own length-m prefix
-                reps, sub = slice(None), cols
-            if bits is None:
-                bits = np.zeros((sub.shape[1], words), dtype=_BITS)
-            else:
-                bits = bits.repeat(_run_lengths(first[reps]), axis=0)
-            _or_level(bits, sub, rel, ends, union)
-        if t < m:
-            first = change
-    if bits is None:  # rows shorter than the pattern head
+    if parent is None:  # the empty layer
         return np.zeros((rows, words), dtype=_BITS)
+    bits = parent[0].repeat(parent[1], axis=0)
+    _or_level(bits, E.T, rel, ends, union)  # none when m < k
     return bits
 
 
@@ -370,31 +331,70 @@ def _children(forbidden, s):
     return np.subtract(s, taken, out=taken)
 
 
-def _count_after(P, E, plan, bounds):
+def _count_after(E, plan, bounds):
     """Rows of the layer after E at bound bounds[-1], never built.
 
-    E grew from P, the layer before it at bound bounds[-2], whose bits are
-    walked (see _forbidden) in blocks of rows that have at most _BLOCK
-    children; the popcount of a P row's bits below bounds[-2] gives its
-    children, the next rows of E, whose bits are carried from it. A P row
-    with more than _BLOCK children has them taken _BLOCK at a time. P is
-    None when E is the empty layer, which is walked.
+    E grew at bound width = bounds[-2]. Each block of at most
+    max(_BLOCK, width) rows ends where a parent's children start (a parent
+    has at most width, so one row past a block shows a start) and carries
+    in the bits read off them (see _parent_bits). The empty layer has no
+    parent.
     """
     s = bounds[-1]
-    if P is None:
+    rows, m = E.shape
+    if not m:
         return _count_next(_forbidden(E, plan), s)
-    width = bounds[-2]
-    step = max(1, _BLOCK // width)
-    total = hi = 0
-    for a in range(0, len(P), step):
-        bits = _forbidden(P[a:a + step], plan, layer_rows=len(P))
-        counts = _children(bits, width)
-        lo, hi = hi, hi + int(counts.sum())
-        for c in range(lo, hi, _BLOCK):
-            rows = min(_BLOCK, hi - c)
-            parent = (bits, counts) if rows == hi - lo else (bits, [rows])
-            total += _count_next(_forbidden(E[c:c + rows], plan, parent, len(E)), s)
+    width, words = bounds[-2], plan[-1]
+    size = max(_BLOCK, width)
+    total = a = 0
+    while a < rows:
+        b = rows if rows - a <= size else a + size + 1
+        # Per row two flags, then two word arrays of a row or a parent (at
+        # most one per row), and per parent its edge and child count.
+        _reserve((b - a) * (16 * words + 18),
+                 "finding the values forbidden after {:,} rows of length {}", rows, m)
+        edges = _edges(E[a:b])
+        if b < rows:  # end at the last start
+            edges = edges[:-1]
+            b = a + int(edges[-1])
+        parent = _parent_bits(E[a:b], edges, width, words)
+        total += _count_next(_forbidden(E[a:b], plan, parent, rows), s)
+        a = b
     return total
+
+
+def _edges(E):
+    """Where each parent's children start in E, the rows whose prefix, all
+    but the last column, differs from the row before, then len(E)."""
+    rows = len(E)
+    first = np.zeros(rows + 1, dtype=bool)
+    first[0] = first[rows] = True
+    new = first[1:rows]
+    for col in E.T[:-1]:
+        new |= col[1:] != col[:-1]
+    return first.nonzero()[0]
+
+
+def _parent_bits(E, edges, width, words):
+    """(bits, counts) of the parents E grew from at bound width, one per run
+    of rows between `edges`: the children of one parent, which end in the
+    values below width that its bits leave clear. Every entry of a parent
+    lies below the bound before width, so width - 1 and every larger value
+    compare alike with each, and share a bit.
+    """
+    # Each row's bit for its last entry, in every word: a shift by 64 or
+    # more, or by a negative amount wrapped round, leaves none.
+    shift = np.subtract(E[:, -1:], np.arange(0, _WORD * words, _WORD, dtype=_BITS),
+                        dtype=_BITS, casting="unsafe")
+    free = np.bitwise_or.reduceat(np.left_shift(1, shift, out=shift),
+                                  edges[:-1], axis=0)
+    del shift
+    # Where a child ends in width - 1, the parent also takes every larger value.
+    w, b = divmod(width - 1, _WORD)
+    high = _HIGH.take(np.arange(width, width - _WORD * words, -_WORD), mode="clip")
+    free |= (free[:, w:w + 1] >> b) * high
+    np.invert(free, out=free)
+    return free, edges[1:] - edges[:-1]
 
 
 def _count_next(forbidden, s):
@@ -428,9 +428,8 @@ def count_steps(bounds, pattern):
 
     The lengths before the last are read from `avoider_steps`, looked up on
     this module at each call, so a wrapper put there sees every layer built.
-    The last is counted and never built: the generator yields bare layers,
-    so the count keeps the last two it drew and carries the bits of the
-    older, walked, into the newer (see _count_after).
+    The last is counted and never built, from the last layer drawn alone
+    (see _count_after).
     """
     bounds = validate_bounds(bounds)
     if not bounds:
@@ -438,12 +437,11 @@ def count_steps(bounds, pattern):
     pattern = as_pattern(pattern)
     plan = _plan(pattern, bounds)
     steps = avoider_steps(bounds, pattern)
-    P, E = None, _empty_layer(bounds)
-    for layer in islice(steps, len(bounds) - 1):
-        yield layer.shape[0]
-        P, E = E, layer
+    E = _empty_layer(bounds)
+    for E in islice(steps, len(bounds) - 1):
+        yield E.shape[0]
     steps.close()
-    yield _count_after(P, E, plan, bounds)
+    yield _count_after(E, plan, bounds)
 
 
 def subset_total(ground, pattern):

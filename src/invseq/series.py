@@ -286,15 +286,17 @@ def check_0021_conjecture(n_max, counts=None):
     """Verify 1/((1-A)(1+A)^2) == 1-x mod x^(n_max+1) with A the OGF of
     the 0021 avoider counts.
 
-    counts may be supplied (a_1..a_n_max); otherwise they are computed by
-    enumeration. Returns (ok, report) where the report lists the counts
-    and the first failing coefficient if any.
+    counts may be supplied, exactly a_1..a_n_max; otherwise they are
+    computed by enumeration. Returns (ok, report) where the report lists
+    the counts and the first failing coefficient if any.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if counts is None:
         counts = engine.count_steps(ordinary_bounds(n_max), (0, 0, 2, 1))
     counts = list(counts)
+    if len(counts) != n_max:
+        raise ValueError(f"expected {n_max} counts a_1..a_{n_max}, got {len(counts)}")
     a = RationalSeries([0] + counts, n_max, "ordinary")
     lhs = ((1 - a) * (1 + a) ** 2).reciprocal()
     target = RationalSeries([1, -1], n_max, "ordinary")

@@ -57,6 +57,12 @@ class TestCount:
         with pytest.raises(SystemExit):
             main(["count", "--pattern", "000", "--n", "3", "--set", "1,2"])
 
+    def test_vector_with_set_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--pattern", "000", "--set", "1,2,3", "--vector"])
+        assert exc.value.code == 2
+        assert "--vector needs --n" in capsys.readouterr().err
+
     def test_step_that_cannot_fit_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--pattern", "10", "--set", "10000000,10000001"])

@@ -93,30 +93,34 @@ def test_blocked_counts_match_unblocked(monkeypatch, pattern):
     assert list(count_steps(ordinary_bounds(9), pattern)) == unblocked
 
 
-def _carried_and_walked(bounds, pattern):
-    """Yield (layer, carried bits, walked bits) as avoider_steps grows each
-    layer: carried bits start from the parent's, walked bits from none."""
+def _growth_chain(bounds, pattern):
+    """Yield (layer, its carried bits, children per row) as avoider_steps
+    grows each layer, through the last bound."""
     plan = engine._plan(pattern, bounds)
     E, parent = engine._empty_layer(bounds), None
     for s in bounds:
         forbidden = engine._forbidden(E, plan, parent)
-        yield E, forbidden, engine._forbidden(E, plan)
-        E, counts = engine._grow(E, s, forbidden)
-        parent = forbidden, counts
+        E_next, counts = engine._grow(E, s, forbidden)
+        yield E, forbidden, counts
+        E, parent = E_next, (forbidden, counts)
 
 
 @pytest.mark.parametrize("bounds, patterns", [
     (ordinary_bounds(8), [p for n in (1, 2, 3, 4) for p in canonical_patterns(n)]),
 ] + [(bounds, _WIDE_PATTERNS) for bounds in _WIDE_BOUNDS],
     ids=["ordinary-8"] + [f"wide-{b}" for b in _WIDE_BOUNDS])
-def test_carried_bits_equal_walked_bits(bounds, patterns):
-    # Every word, not only those below the next bound.
+def test_bits_read_off_children_equal_carried_bits(bounds, patterns):
+    # Every word, not only those below the next bound, of every parent row
+    # with a child.
+    words = -(-bounds[-1] // 64)
     for p in patterns:
-        steps = avoider_steps(bounds, p)
-        for m, (E, carried, walked) in enumerate(_carried_and_walked(bounds, p)):
-            assert np.array_equal(carried, walked), (str(as_pattern(p)), m)
-            if m:
-                assert np.array_equal(E, next(steps)), (str(as_pattern(p)), m)
+        layers = [engine._empty_layer(bounds), *avoider_steps(bounds, p)]
+        for m, (E, carried, counts) in enumerate(_growth_chain(bounds, p)):
+            child, kept = layers[m + 1], counts > 0
+            bits, sizes = engine._parent_bits(child, engine._edges(child), bounds[m], words)
+            assert np.array_equal(E, layers[m]), (str(as_pattern(p)), m)
+            assert np.array_equal(bits, carried[kept]), (str(as_pattern(p)), m)
+            assert np.array_equal(sizes, counts[kept]), (str(as_pattern(p)), m)
 
 
 _ALL_UP_TO_4 = [p for n in (1, 2, 3, 4) for p in canonical_patterns(n)]
@@ -124,27 +128,25 @@ _ALL_UP_TO_4 = [p for n in (1, 2, 3, 4) for p in canonical_patterns(n)]
 
 @pytest.mark.parametrize("bounds, patterns, blocks", [
     (ordinary_bounds(9), _ALL_UP_TO_4, (None, 4099)),
-    # 61 rows split the layers before the last anywhere; over [9] it takes
-    # half a minute, so it runs over [7].
+    # 61 rows split the last layers anywhere; over [9] it takes 15 s, so
+    # it runs over [7].
     (ordinary_bounds(7), _ALL_UP_TO_4, (61,)),
 ] + [(bounds, _WIDE_PATTERNS, (None, 4099, 61)) for bounds in _WIDE_BOUNDS],
     ids=["ordinary-9", "ordinary-7"] + [f"wide-{b}" for b in _WIDE_BOUNDS])
 def test_carried_last_count_equals_walked_count(monkeypatch, bounds, patterns, blocks):
-    # Every length is counted as the last one. With 61-row blocks, a row of
-    # the layer before the parent may have more children (65, 66 or 130)
-    # than a block holds, and many of its rows have none.
+    # Every length is counted as the last one, against the popcount of the
+    # bits the growth chain carried into that layer. With 61-row blocks, a
+    # parent row may have more children (65, 66 or 130) than a block holds.
     for p in patterns:
         plan = engine._plan(p, bounds)
-        layers = [engine._empty_layer(bounds), *avoider_steps(bounds[:-1], p)]
-        walked = [engine._count_next(engine._forbidden(E, plan), s)
-                  for E, s in zip(layers, bounds)]
+        chain = list(_growth_chain(bounds, p))
+        want = [engine._count_next(carried, s) for (_, carried, _), s in zip(chain, bounds)]
         for block in blocks:
             if block:
                 monkeypatch.setattr(engine, "_BLOCK", block)
-            carried = [engine._count_after(layers[n - 2] if n > 1 else None,
-                                           layers[n - 1], plan, bounds[:n])
-                       for n in range(1, len(bounds) + 1)]
-            assert carried == walked, (str(as_pattern(p)), block)
+            got = [engine._count_after(E, plan, bounds[:n])
+                   for n, (E, _, _) in enumerate(chain, 1)]
+            assert got == want, (str(as_pattern(p)), block)
 
 
 @pytest.mark.parametrize("pattern", ["3201", "0021", "0231", "1302", "0101", "1001"])
@@ -243,7 +245,7 @@ def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds, block)
     # Each step's prediction is the largest request it makes of the budget.
     needs, peaks = [], []
     monkeypatch.setattr(engine, "_budget", lambda need: needs.append(need) or need)
-    if block:  # the count's 40,074-row parent layer spans blocks
+    if block:  # the count's 40,074-row last layer spans blocks
         monkeypatch.setattr(engine, "_BLOCK", block)
 
     def measure(rows, step, *args):
@@ -259,19 +261,19 @@ def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds, block)
         return out
 
     plan = engine._plan(pattern, bounds)
-    P, E, parent = None, engine._empty_layer(bounds), None
+    E, parent = engine._empty_layer(bounds), None
     tracemalloc.start()
     try:
         # As avoider_steps does: each step starts from its parent's bits.
         for s in bounds[:-1]:
             forbidden = measure(len(E), engine._forbidden, E, plan, parent)
             layer, counts = measure(len(E), engine._grow, E, s, forbidden)
-            P, E, parent = E, layer, (forbidden, counts)
-        # As count_steps does: E's bits carried from P's, walked.
-        count = measure(len(E), engine._count_after, P, E, plan, bounds)
+            E, parent = layer, (forbidden, counts)
+        # As count_steps does: the parents' bits read off E, carried into it.
+        count = measure(len(E), engine._count_after, E, plan, bounds)
         if block:  # the whole count as one block
-            monkeypatch.setattr(engine, "_BLOCK", len(P) * bounds[-2])
-            assert measure(len(E), engine._count_after, P, E, plan, bounds) == count
+            monkeypatch.setattr(engine, "_BLOCK", len(E))
+            assert measure(len(E), engine._count_after, E, plan, bounds) == count
             assert peaks[-2] < peaks[-1] / 4
     finally:
         tracemalloc.stop()

@@ -142,6 +142,11 @@ class TestConjecture0021:
         assert not ok
         assert report["first_failing_coefficient"] == 8
 
+    @pytest.mark.parametrize("given", [2, 4])
+    def test_supplied_counts_must_match_n_max(self, given):
+        with pytest.raises(ValueError, match="expected 3 counts"):
+            check_0021_conjecture(3, counts=a218225_terms(given))
+
     def test_enumerated_counts_small(self):
         ok, report = check_0021_conjecture(7)
         assert ok
