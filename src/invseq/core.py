@@ -8,11 +8,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import ge
+from operator import ge, index
 
 
 def _cmp(x, y):
     return 1 if x > y else -1 if x < y else 0
+
+
+def _integers(values, what, digits=False):
+    """The entries of `values` as ints, never truncated: Python and numpy
+    integers pass (operator.index), and with `digits` so do strings of
+    decimal digits. Anything else raises ValueError naming the entry."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        pass
+    out = []
+    for pos, v in enumerate(values):
+        if digits and isinstance(v, str) and v.isdecimal():
+            out.append(int(v))
+            continue
+        try:
+            out.append(index(v))
+        except TypeError:
+            raise ValueError(f"{what} {v!r} at position {pos} is not an integer") from None
+    return tuple(out)
 
 
 def canonicalize(word):
@@ -33,7 +53,7 @@ class Pattern:
     entries: tuple
 
     def __post_init__(self):
-        word = tuple(int(v) for v in self.entries)
+        word = _integers(self.entries, "pattern entry", digits=True)
         if not word:
             raise ValueError("pattern must have length >= 1")
         if any(v < 0 for v in word):
@@ -81,7 +101,7 @@ def as_pattern(x):
 
 def validate_bounds(bounds):
     """Check a bound set: strictly increasing positive integers."""
-    bounds = tuple(map(int, bounds))
+    bounds = _integers(bounds, "bound")
     if bounds and min(bounds) < 1:
         raise ValueError("bounds must be positive")
     if any(map(ge, bounds, bounds[1:])):

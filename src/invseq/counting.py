@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import (
     Pattern,
+    _integers,
     as_pattern,
     extend_avoids,
     ordinary_bounds,
@@ -83,7 +84,7 @@ def theorem31_rhs(n, suffix):
         raise ValueError(
             f"refusing subset sum for n > {_SUBSET_LIMIT} (2^(n-1) subsets)"
         )
-    word = tuple(int(v) for v in suffix)
+    word = _integers(suffix, "suffix entry", digits=True)
     if not word:
         raise ValueError("suffix must be nonempty")
     if min(word) < 1:

@@ -6,6 +6,12 @@ Correctness rests on hereditary avoidance: every prefix of an avoider
 avoids, so extending only surviving rows and rejecting extensions that
 complete an occurrence at the new position enumerates exactly the avoiders.
 
+A sequence shorter than the pattern cannot contain it, so the layers
+before the pattern's length are whole lexicographic products, written
+down as `full_matrix` writes its matrix, and growth starts at the
+pattern's length, from clear bits. A count of a length shorter than the
+pattern is the product of its bounds.
+
 Each growth step first finds, for every row, the next values that would
 complete an occurrence. For a choice of L-1 columns whose values realize
 the pattern head p[:L-1], those values form one interval: v must lie above
@@ -334,14 +340,17 @@ def _children(forbidden, s):
 def _count_after(E, plan, bounds):
     """Rows of the layer after E at bound bounds[-1], never built.
 
-    E grew at bound width = bounds[-2]. Each block of at most
-    max(_BLOCK, width) rows ends where a parent's children start (a parent
-    has at most width, so one row past a block shows a start) and carries
-    in the bits read off them (see _parent_bits). The empty layer has no
-    parent.
+    Where E is shorter than the pattern head, it is a whole product and
+    every row takes every value. Otherwise E grew at bound width =
+    bounds[-2]. Each block of at most max(_BLOCK, width) rows ends where a
+    parent's children start (a parent has at most width, so one row past
+    a block shows a start) and carries in the bits read off them (see
+    _parent_bits). The empty layer has no parent.
     """
     s = bounds[-1]
     rows, m = E.shape
+    if m < len(plan[0]):  # E is a whole product with clear bits
+        return rows * s
     if not m:
         return _count_next(_forbidden(E, plan), s)
     width, words = bounds[-2], plan[-1]
@@ -411,12 +420,26 @@ def avoider_steps(bounds, pattern):
     """Yield the avoider matrix after each successive bound.
 
     The matrix for the length-m prefix of `bounds` has one row per element
-    of I_{S_m}(pattern), in lexicographic order, stored column-major.
+    of I_{S_m}(pattern), in lexicographic order, stored column-major. A
+    sequence shorter than the pattern cannot contain it, so the layers
+    before the pattern's length are whole products, written down and not
+    grown; growth starts at the pattern's length from their clear bits.
     """
     bounds = validate_bounds(bounds)
     plan = _plan(pattern, bounds)
     E, parent = _empty_layer(bounds), None
-    for s in bounds:
+    head = len(plan[0])
+    for m in range(1, min(head, len(bounds)) + 1):
+        E = _product(bounds[:m], E.dtype)
+        yield E
+    if 0 < head < len(bounds):
+        # Each parent row, all bits clear, has all bounds[head - 1] children.
+        s = bounds[head - 1]
+        rows = len(E) // s
+        _reserve(rows * (8 * plan[-1] + 8), "clearing the bits of {:,} rows of length {}",
+                 rows, head - 1)
+        parent = np.zeros((rows, plan[-1]), dtype=_BITS), np.full(rows, s)
+    for s in bounds[E.shape[1]:]:
         forbidden = _forbidden(E, plan, parent)
         E, counts = _grow(E, s, forbidden)
         parent = forbidden, counts
@@ -427,9 +450,10 @@ def count_steps(bounds, pattern):
     """Yield |I_{S_m}(pattern)| for each prefix S_m of the bound set, in order.
 
     The lengths before the last are read from `avoider_steps`, looked up on
-    this module at each call, so a wrapper put there sees every layer built.
-    The last is counted and never built, from the last layer drawn alone
-    (see _count_after).
+    this module at each call, so a wrapper put there sees every layer built;
+    those shorter than the pattern are products, grown by no step. The last
+    is counted and never built, from the last layer drawn alone (see
+    _count_after).
     """
     bounds = validate_bounds(bounds)
     if not bounds:
@@ -481,9 +505,14 @@ def avoider_matrix(bounds, pattern):
 def full_matrix(bounds):
     """All S-inversion sequences for the given bounds, lexicographic order."""
     bounds = validate_bounds(bounds)
-    dtype = _dtype_for(bounds)
+    return _product(bounds, _dtype_for(bounds))
+
+
+def _product(bounds, dtype):
+    """Every sequence below `bounds`, lexicographic order, column-major, in
+    `dtype`."""
     size = prod(bounds)
-    _reserve(len(bounds) * size * dtype().itemsize,
+    _reserve(len(bounds) * size * np.dtype(dtype).itemsize,
              "listing all {:,} sequences of length {}", size, len(bounds))
     return np.indices(bounds, dtype=dtype).reshape(len(bounds), size).T
 

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -52,6 +53,23 @@ class TestPattern:
     def test_parse_error_reports_position(self):
         with pytest.raises(ValueError, match="position 2"):
             Pattern.parse("01x1")
+
+    @pytest.mark.parametrize("entries, bad", [
+        ((0.9, 0.1, 1.2), "0.9 at position 0"),
+        ((0, 1.0), "1.0 at position 1"),
+        (("0", "x"), "'x' at position 1"),
+        (("1", "-1"), "'-1' at position 1"),
+    ])
+    def test_rejects_non_integer_entries(self, entries, bad):
+        # Entries are never truncated: (0.9, 0.1, 1.2) is not 001.
+        with pytest.raises(ValueError,
+                           match=re.escape(f"pattern entry {bad} is not an integer")):
+            Pattern(entries)
+
+    def test_integer_and_digit_entries(self):
+        assert Pattern(np.array([3, 2, 0, 1])).entries == (3, 2, 0, 1)
+        assert Pattern(("0", "0", 2, np.int8(1))).entries == (0, 0, 2, 1)
+        assert Pattern(tuple("3201")) == Pattern((3, 2, 0, 1))
 
 
 class TestOrderIsomorphic:
@@ -183,3 +201,20 @@ class TestSInvSeq:
 
     def test_ordinary(self):
         assert ordinary_bounds(3) == validate_bounds((1, 2, 3)) == (1, 2, 3)
+
+    @pytest.mark.parametrize("bounds, bad", [
+        ((1.9, 2.5, 3.7), "1.9 at position 0"),
+        ((1, 2.0), "2.0 at position 1"),
+        ("3", "'3' at position 0"),
+        ((1, "3"), "'3' at position 1"),
+        ((1, np.float64(3)), "np.float64(3.0) at position 1"),
+    ])
+    def test_rejects_non_integer_bounds(self, bounds, bad):
+        # Bounds are never truncated or parsed: (1.9, 2.5, 3.7) is not (1, 2, 3).
+        with pytest.raises(ValueError, match=re.escape(f"bound {bad} is not an integer")):
+            validate_bounds(bounds)
+
+    def test_numpy_integer_bounds(self):
+        bounds = validate_bounds(np.arange(1, 4, dtype=np.int16))
+        assert bounds == (1, 2, 3) and all(type(b) is int for b in bounds)
+        assert validate_bounds(range(2, 5)) == (2, 3, 4)

@@ -89,6 +89,12 @@ class TestCount:
             bounds, pattern, "reference"
         )
 
+    @pytest.mark.parametrize("engine_name", ["fast", "reference"])
+    def test_rejects_non_integer_bounds(self, engine_name):
+        # Truncated, (1.9, 2.5, 3.7) would count as (1, 2, 3): 5 avoiders of 10.
+        with pytest.raises(ValueError, match="bound 1.9 at position 0"):
+            count_avoiders((1.9, 2.5, 3.7), "10", engine_name)
+
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             count_avoiders((1, 2), (0, 0), engine_name="magic")
@@ -126,6 +132,11 @@ class TestTheorem31:
     def test_rejects_huge_n(self):
         with pytest.raises(ValueError):
             theorem31_rhs(40, (1, 1))
+
+    def test_rejects_non_integer_suffix(self):
+        with pytest.raises(ValueError, match="suffix entry 1.5 at position 0"):
+            theorem31_rhs(5, (1.5, 2))
+        assert theorem31_rhs(5, "21") == theorem31_rhs(5, (2, 1)) == 90
 
 
 class TestBinaryFormula:

@@ -3,7 +3,8 @@ import os
 import time
 import tracemalloc
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
+from math import prod
 
 import numpy as np
 import pytest
@@ -35,13 +36,31 @@ def _reference_layers(pattern):
     return [list(enumerate_avoiders(bounds[:m], pattern)) for m in range(1, 8)]
 
 
+def _layers_match_reference(bounds, pattern, reference=None):
+    """Every layer of avoider_steps has the reference's rows, in its order,
+    stored column-major in the dtype of the whole bound set, and
+    count_steps counts them."""
+    if reference is None:
+        reference = [list(enumerate_avoiders(bounds[:m], pattern))
+                     for m in range(1, len(bounds) + 1)]
+    case = bounds, str(as_pattern(pattern))
+    layers = list(avoider_steps(bounds, pattern))
+    assert [[tuple(row) for row in E.tolist()] for E in layers] == reference, case
+    assert all(E.dtype == _dtype_for(bounds) and E.flags.f_contiguous for E in layers), case
+    assert list(count_steps(bounds, pattern)) == [len(rows) for rows in reference], case
+
+
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_every_layer_matches_reference(length):
     # Rows, not just counts, and in the same lexicographic order.
     for p in canonical_patterns(length):
-        layers = [[tuple(row) for row in E.tolist()]
-                  for E in avoider_steps(ordinary_bounds(7), p)]
-        assert layers == _reference_layers(p), str(p)
+        _layers_match_reference(ordinary_bounds(7), p, _reference_layers(p))
+
+
+def test_length_5_layers_match_reference():
+    # Growth starts at layer 5; layers 1-4 are products.
+    for p in canonical_patterns(5):
+        _layers_match_reference(ordinary_bounds(6), p)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
@@ -65,6 +84,30 @@ def test_bit_words_past_64(bounds, pattern):
     layers = list(avoider_steps(bounds, pattern))
     assert [tuple(row) for row in layers[-1].tolist()] == want
     assert list(count_steps(bounds, pattern)) == [E.shape[0] for E in layers]
+
+
+@pytest.mark.parametrize("bounds, patterns", [
+    (bounds, _WIDE_PATTERNS) for bounds in _WIDE_BOUNDS
+] + [
+    # A bound above 127 after the head: the head's products take int16 too.
+    ((1, 2, 3, 130), canonical_patterns(4)),
+    ((2, 3, 4, 200), canonical_patterns(4)),
+    ((1, 2, 3, 40000), ["3201"]),
+], ids=[f"wide-{b}" for b in _WIDE_BOUNDS] + ["130-length-4", "200-length-4", "40000-3201"])
+def test_wide_layers_match_reference(bounds, patterns):
+    for p in patterns:
+        _layers_match_reference(bounds, p)
+
+
+@pytest.mark.parametrize("pattern", ["0", "10", "000", "3201", "0021", "01234", "43210"])
+def test_counts_shorter_than_pattern_are_products(pattern):
+    # No sequence shorter than the pattern contains it.
+    length, ground = len(pattern), (1, 2, 3, 5, 64, 65, 130, 200)
+    for size in range(length):
+        for S in combinations(ground, size):
+            assert count_avoiders(S, pattern) == prod(S), S
+    counts = list(count_steps(ground[:length], pattern))
+    assert counts[:-1] == [prod(ground[:m]) for m in range(1, length)]
 
 
 @pytest.mark.parametrize("block", [7, 61])
@@ -301,6 +344,59 @@ def test_step_refused_before_it_allocates(monkeypatch):
         assert refused > 10**6
         assert where in str(exc.value) and f"{refused:,} bytes" in str(exc.value)
         assert peak < min(refused, 10**6), where
+
+
+@pytest.mark.parametrize("bounds, budget, where", [
+    # Layer 3 of 3201, a product of 6,000,000 rows.
+    ((100, 200, 300, 400), 10**6, "listing all 6,000,000 sequences of length 3"),
+    # The clear bits carried into layer 3: 3,000 rows of 262,144 words.
+    ((50, 60, 70, 2**24), 10**7, "clearing the bits of 3,000 rows of length 2"),
+])
+def test_product_layer_refused_before_it_allocates(monkeypatch, bounds, budget, where):
+    needs = []
+    monkeypatch.setattr(engine, "_budget", lambda need: needs.append(need) or budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError) as exc:
+            list(avoider_steps(bounds, "3201"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert where in str(exc.value) and f"{needs[-1]:,} bytes" in str(exc.value)
+    assert peak < budget < needs[-1]
+
+
+def test_count_block_request_covers_its_arrays(monkeypatch):
+    # A block of the last count reserves its flags, the one-bit words of
+    # its rows and the bits of its parents before it allocates them;
+    # _forbidden then reserves its own. At 157 words per row and a parent
+    # per five rows, the word arrays outweigh the fixed part of a request,
+    # so a request that undercounts them is seen.
+    bounds, pattern = (1, 2, 3, 4, 5, 6, 7, 10000), "000"
+    *_, E = islice(avoider_steps(bounds, pattern), len(bounds) - 1)
+    plan, forbidden = engine._plan(pattern, bounds), engine._forbidden
+    requests, blocks = [], []
+
+    def budget(need):
+        gc.collect()
+        tracemalloc.reset_peak()
+        requests.append((need, tracemalloc.get_traced_memory()[0]))
+        return need
+
+    def traced(*args):
+        need, base = requests[-1]  # the block's own request
+        blocks.append((need, tracemalloc.get_traced_memory()[1] - base))
+        return forbidden(*args)
+
+    monkeypatch.setattr(engine, "_budget", budget)
+    monkeypatch.setattr(engine, "_forbidden", traced)
+    tracemalloc.start()
+    try:
+        engine._count_after(E, plan, bounds)
+    finally:
+        tracemalloc.stop()
+    [(need, peak)] = blocks
+    assert peak <= need < 2 * peak
 
 
 def test_free_memory_read_only_past_the_last_reading(monkeypatch):
