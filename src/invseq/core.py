@@ -137,23 +137,26 @@ def _completes(seq, n, nxt, rel):
     """True iff seq[:n] followed by nxt holds an occurrence ending at nxt.
 
     rel is the pattern's relation table (see _relations). The search picks
-    the positions of the pattern head p[:-1] in seq[:n], left to right;
-    each choice must stand in the required relation to nxt and to every
-    value picked before it.
+    the positions of the pattern head p[:-1] in seq[:n], left to right, by
+    backtracking on an explicit stack: chosen[t] is the value picked for
+    head entry t, and resume[t] the position after it, where the scan for
+    entry t goes on once that pick is undone. A pick must stand in the
+    required relation to nxt and to every value picked before it, and
+    head entry t is looked for only where the last - t entries after it
+    still fit (i < n - last + t + 1).
     """
     last = len(rel) - 1
     if n < last:
         return False
     to_last = rel[last]
     chosen = []
-
-    def pick(start, t):
-        if t == last:
-            return True
-        need = rel[t]
-        r_last = to_last[t]
-        for i in range(start, n - (last - t) + 1):
+    resume = []
+    t = i = 0
+    while t < last:
+        need, r_last, stop = rel[t], to_last[t], n - last + t + 1
+        while i < stop:
             x = seq[i]
+            i += 1
             if (1 if nxt > x else -1 if nxt < x else 0) != r_last:
                 continue
             for c, r in zip(chosen, need):
@@ -161,12 +164,16 @@ def _completes(seq, n, nxt, rel):
                     break
             else:
                 chosen.append(x)
-                if pick(i + 1, t + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return pick(0, 0)
+                resume.append(i)
+                t += 1
+                break
+        else:
+            if not t:
+                return False
+            t -= 1
+            chosen.pop()
+            i = resume.pop()
+    return True
 
 
 def contains(seq, pattern):

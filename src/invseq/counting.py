@@ -12,9 +12,10 @@ import numpy as np
 
 from .core import (
     Pattern,
+    _completes,
     _integers,
+    _relations,
     as_pattern,
-    extend_avoids,
     ordinary_bounds,
     validate_bounds,
 )
@@ -26,10 +27,11 @@ def enumerate_avoiders(bounds, pattern):
 
     Pruned depth-first search: a prefix is extended only if the new entry
     does not complete an occurrence (hereditary avoidance justifies never
-    revisiting a rejected prefix).
+    revisiting a rejected prefix). The pattern's relation table is looked
+    up once and each candidate is checked by `core._completes` directly.
     """
     bounds = validate_bounds(bounds)
-    p = as_pattern(pattern)
+    rel = _relations(as_pattern(pattern).entries)
     seq = []
 
     def rec(i):
@@ -37,7 +39,7 @@ def enumerate_avoiders(bounds, pattern):
             yield tuple(seq)
             return
         for x in range(bounds[i]):
-            if extend_avoids(seq, x, p):
+            if not _completes(seq, i, x, rel):
                 seq.append(x)
                 yield from rec(i + 1)
                 seq.pop()
@@ -97,6 +99,7 @@ def binary_avoider_formula(j, k, ell):
     any length-ell binary pattern with exactly one zero."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
+    j, k = _integers((j, k), "(j, k) entry")
     if j < 0 or k < 0:
         raise ValueError("j and k must be nonnegative")
     return comb(j + min(k, ell - 2), j)
@@ -113,16 +116,19 @@ def count_binary_avoiders_bruteforce(j, k, pattern):
     p = as_pattern(pattern)
     if len(p) < 2 or set(p) - {0, 1} or p.entries.count(0) != 1:
         raise ValueError("pattern must be binary with exactly one zero")
+    j, k = _integers((j, k), "(j, k) entry")
     if j < 0 or k < 0:
         raise ValueError("j and k must be nonnegative")
+    rel = _relations(p.entries)
 
     def rec(word, zeros, ones):
         if not zeros and not ones:
             return 1
         total = 0
-        if zeros and extend_avoids(word, 0, p):
+        n = len(word)
+        if zeros and not _completes(word, n, 0, rel):
             total += rec(word + (0,), zeros - 1, ones)
-        if ones and extend_avoids(word, 1, p):
+        if ones and not _completes(word, n, 1, rel):
             total += rec(word + (1,), zeros, ones - 1)
         return total
 

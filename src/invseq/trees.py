@@ -12,16 +12,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import index
 
 from .series import RationalSeries, series_Rk, series_Tk
+
+
+def _tree_args(n, k):
+    """n as an int >= 0 and k as None (unbounded) or an int >= 1, taken
+    through operator.index so that nothing is truncated."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise ValueError(f"n {n!r} is not an integer") from None
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k is not None:
+        try:
+            k = index(k)
+        except TypeError:
+            raise ValueError(f"k {k!r} is not an integer") from None
+        if k < 1:
+            raise ValueError("k must be >= 1")
+    return n, k
 
 
 def iter_trees(n, k=None, root_unbounded=False):
     """The parent sequence of every label-increasing tree on n vertices
     with branching bounded by k (None = unbounded), lexicographically; with
-    root_unbounded the root is exempt."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    root_unbounded the root is exempt. The arguments are checked at the
+    call, before the first tree."""
+    n, k = _tree_args(n, k)
     parents = []
     counts = [0] * n
 
@@ -38,19 +58,20 @@ def iter_trees(n, k=None, root_unbounded=False):
             parents.pop()
             counts[p] -= 1
 
-    if n:
-        yield from rec(1)
+    return rec(1) if n else iter(())
 
 
 def count_trees_bruteforce(n, k, root_unbounded=False):
     """|L_{n,k}| (or |L'_{n,k}|) by exhaustive enumeration."""
+    trees = iter_trees(n, k, root_unbounded)
     if n == 0:
         return 1
-    return sum(1 for _ in iter_trees(n, k, root_unbounded))
+    return sum(1 for _ in trees)
 
 
 def count_trees_bounded(n, k):
     """|L_{n,k}| via the ODE series for T_k."""
+    n, k = _tree_args(n, k)
     if n == 0:
         return 1
     return series_Tk(k, n).egf_int(n)
@@ -64,6 +85,7 @@ def count_trees_root_unbounded(n, k):
     (n-1)-th EGF coefficient of exp(T_k - 1), not the n-th; exhaustive
     enumeration confirms the shift.
     """
+    n, k = _tree_args(n, k)
     if n == 0:
         return 1
     return series_Rk(k, n - 1).egf_int(n - 1)

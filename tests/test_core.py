@@ -20,6 +20,7 @@ from invseq.core import canonicalize, is_permutation, validate_bounds
 
 PATTERNS = [p for length in range(1, 5) for p in canonical_patterns(length)]
 WORDS = st.lists(st.integers(0, 4), max_size=8).map(tuple)
+SMALL_WORDS = [w for n in range(5) for w in product(range(4), repeat=n)]
 
 
 def completes_by_definition(seq, nxt, pattern):
@@ -153,6 +154,28 @@ class TestExtendAvoids:
                     assert extend_avoids(e, nxt, pattern) == (
                         not completes_by_definition(e, nxt, pattern)
                     )
+
+    def test_matches_definition_on_all_small_words(self):
+        # Every canonical pattern of length 1-4 (the head of 0 is empty),
+        # every word over {0,1,2,3} of length <= 4, every next entry; the
+        # word need not avoid the pattern for the search to answer.
+        for p in PATTERNS:
+            for w in SMALL_WORDS:
+                for nxt in range(4):
+                    assert extend_avoids(w, nxt, p) == (
+                        not completes_by_definition(w, nxt, p.entries)
+                    ), (w, nxt, p)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+    def test_reads_numpy_rows(self, dtype):
+        for p in PATTERNS:
+            for w in filter(lambda w: len(w) <= 3, SMALL_WORDS):
+                row = np.array(w, dtype)
+                assert contains(row, p) == contains(w, p)
+                for nxt in range(4):
+                    expected = not completes_by_definition(w, nxt, p.entries)
+                    assert extend_avoids(row, dtype(nxt), p) == expected, (w, nxt, p)
+                    assert extend_avoids(row, nxt, p) == expected, (w, nxt, p)
 
     @given(WORDS, st.integers(0, 4))
     def test_matches_contains_on_words(self, w, nxt):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import combinations, product
 
@@ -95,6 +96,16 @@ class TestCount:
         with pytest.raises(ValueError, match="bound 1.9 at position 0"):
             count_avoiders((1.9, 2.5, 3.7), "10", engine_name)
 
+    def test_reference_is_independent(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference must not call this")
+
+        for name, fn in vars(engine).copy().items():
+            if callable(fn) and getattr(fn, "__module__", None) == engine.__name__:
+                monkeypatch.setattr(engine, name, refuse)
+        assert count_avoiders(ordinary_bounds(7), "3201", engine_name="reference") == 5034
+        assert next(enumerate_avoiders((1, 2, 3), "3201")) == (0, 0, 0)
+
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             count_avoiders((1, 2), (0, 0), engine_name="magic")
@@ -181,6 +192,20 @@ class TestBinaryFormula:
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValueError):
             count_binary_avoiders_bruteforce(-1, 0, (0, 1))
+
+    @pytest.mark.parametrize("j, k, bad", [
+        (1.5, 0, "1.5 at position 0"),  # never reached zero zeros: RecursionError
+        (2, "1", "'1' at position 1"),  # raised TypeError
+    ])
+    def test_rejects_non_integer_sizes(self, j, k, bad):
+        message = re.escape(f"(j, k) entry {bad} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            count_binary_avoiders_bruteforce(j, k, (0, 1))
+        with pytest.raises(ValueError, match=message):
+            binary_avoider_formula(j, k, 2)
+
+    def test_numpy_integer_sizes(self):
+        assert count_binary_avoiders_bruteforce(np.int8(3), np.uint8(4), (1, 0, 1, 1)) == 10
 
     def test_rejects_nonbinary_pattern(self):
         with pytest.raises(ValueError):

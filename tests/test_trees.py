@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from invseq import enumerate_avoiders, ordinary_bounds
@@ -51,6 +54,36 @@ class TestCounts:
         assert [count_trees_root_unbounded(n, 1) for n in range(1, 8)] == [
             1, 1, 2, 5, 15, 52, 203,
         ]
+
+
+class TestArguments:
+    ORACLES = [
+        count_trees_bruteforce,
+        count_trees_bounded,
+        count_trees_root_unbounded,
+        lambda n, k: count_trees_bruteforce(n, k, root_unbounded=True),
+    ]
+
+    @pytest.mark.parametrize("n, k, message", [
+        (4, 1.5, "k 1.5 is not an integer"),  # used to count as k = 2
+        (4, 0, "k must be >= 1"),  # used to count 0 trees
+        (4, -1, "k must be >= 1"),
+        (0, 0, "k must be >= 1"),
+        (2.5, 3, "n 2.5 is not an integer"),
+        (-1, 2, "n must be nonnegative"),
+    ])
+    def test_oracles_reject_the_same_arguments(self, n, k, message):
+        for count in self.ORACLES:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                count(n, k)
+
+    def test_iter_trees_checks_at_the_call(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            iter_trees(3, 0)
+
+    def test_numpy_integer_arguments(self):
+        for count in self.ORACLES:
+            assert count(np.int8(5), np.uint8(2)) == count(5, 2)
 
 
 class TestOperator:
