@@ -15,6 +15,15 @@ def _cmp(x, y):
     return 1 if x > y else -1 if x < y else 0
 
 
+def _integer(value, what):
+    """value as an int, never truncated (operator.index); anything else
+    raises ValueError naming `what`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def _integers(values, what, digits=False):
     """The entries of `values` as ints, never truncated: Python and numpy
     integers pass (operator.index), and with `digits` so do strings of

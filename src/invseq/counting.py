@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     Pattern,
     _completes,
+    _integer,
     _integers,
     _relations,
     as_pattern,
@@ -80,6 +81,7 @@ def theorem31_rhs(n, suffix):
     are visited by one depth-first walk of the subset lattice
     (`engine.subset_total`).
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _SUBSET_LIMIT:

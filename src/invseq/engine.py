@@ -37,6 +37,16 @@ stored column-major, so each column comparison reads contiguous memory.
 Entries use the narrowest signed integer dtype that holds the largest
 bound minus one, so none wraps.
 
+`count_steps` hands the last length to the state engine (states.py) when
+the pattern's state keeps one lower- or upper-bound value per level and
+the state engine's work fits within the rows of the last layer over
+_ROWS_PER_UNIT, so it replaces a matrix count only where it is cheaper:
+on large layers whose prefixes merge into few states. The layers before
+the last are still drawn from `avoider_steps`, so a wrapper there sees
+every layer a count builds, and their rows check the state engine: its
+count is yielded only after its counts at every shorter length equal the
+layers' rows.
+
 Each step first predicts its bytes from its shape and, if they exceed the
 memory the OS reports available, raises MemoryError before it allocates.
 The OS is asked again only when a step needs more than its last answer
@@ -54,6 +64,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import states
 from .core import _relations, as_pattern, validate_bounds
 
 _INT_DTYPES = [(np.iinfo(dt).max, dt) for dt in (np.int8, np.int16, np.int32)]
@@ -67,6 +78,9 @@ _HIGH = ~_LOW
 # Rows per block of a layer whose last step is counted (see _count_after):
 # fewer makes more numpy calls, more holds more bits.
 _BLOCK = 1 << 18
+# Rows of the matrix's last count that cost about as much time as one unit
+# of the state engine's work, a state and value (see _merged_count).
+_ROWS_PER_UNIT = 100
 
 
 def _int_dtype(limit):
@@ -452,7 +466,8 @@ def count_steps(bounds, pattern):
     The lengths before the last are read from `avoider_steps`, looked up on
     this module at each call, so a wrapper put there sees every layer built;
     those shorter than the pattern are products, grown by no step. The last
-    is counted and never built, from the last layer drawn alone (see
+    is counted and never built: by the state engine where that is cheaper
+    (see _merged_count), otherwise from the last layer drawn alone (see
     _count_after).
     """
     bounds = validate_bounds(bounds)
@@ -461,11 +476,36 @@ def count_steps(bounds, pattern):
     pattern = as_pattern(pattern)
     plan = _plan(pattern, bounds)
     steps = avoider_steps(bounds, pattern)
-    E = _empty_layer(bounds)
+    E, rows = _empty_layer(bounds), []
     for E in islice(steps, len(bounds) - 1):
-        yield E.shape[0]
+        rows.append(E.shape[0])
+        yield rows[-1]
     steps.close()
-    yield _count_after(E, plan, bounds)
+    count = _merged_count(bounds, pattern, rows)
+    yield _count_after(E, plan, bounds) if count is None else count
+
+
+def _merged_count(bounds, pattern, rows):
+    """The count of the last length from the state engine, checked against
+    the layers' `rows` at every shorter length, or None where the matrix
+    count is the cheaper one.
+
+    The state engine runs when each level of the pattern's state keeps one
+    value (states.single_valued), and only while its work stays within the
+    rows of the last layer drawn over _ROWS_PER_UNIT, so it never costs
+    much more than the matrix count it replaces. A count that differs from
+    a layer's rows raises RuntimeError naming the first such length.
+    """
+    work = (rows[-1] if rows else 1) // _ROWS_PER_UNIT
+    # Each length costs a unit at least, unless a count is 0.
+    if work < len(bounds) or not states.single_valued(pattern):
+        return None
+    counts = list(states.state_counts(bounds, pattern, work))
+    for m, (got, want) in enumerate(zip(counts, rows), 1):
+        if got != want:
+            raise RuntimeError(f"the state engine counts {got:,} sequences of length "
+                               f"{m}, where the layer holds {want:,}")
+    return counts[-1] if len(counts) == len(bounds) else None
 
 
 def subset_total(ground, pattern):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import engine
-from .core import ordinary_bounds
+from .core import _integer, ordinary_bounds
 
 
 class RationalSeries:
@@ -199,11 +199,23 @@ def euler_numbers(n_max):
     return [s.egf_int(n) for n in range(n_max + 1)]
 
 
-def series_Tk(k, order):
-    """EGF of increasing trees with branching bounded by k, solved term by
-    term from T' = sum_{i<=k} (T-1)^i / i!, T(0) = 1."""
+def _bound(k):
+    """k as an int >= 1, taken through operator.index. The series needs a
+    bound, so k = None (unbounded branching) is refused."""
+    if k is None:
+        raise ValueError("the series needs a bound k; None (unbounded) has no series here")
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
+    return k
+
+
+def series_Tk(k, order):
+    """EGF of increasing trees with branching bounded by k, solved term by
+    term from T' = sum_{i<=k} (T-1)^i / i!, T(0) = 1. k is checked by
+    _bound, and order is taken through operator.index.
+    """
+    k, order = _bound(k), _integer(order, "order")
     coeffs = [Fraction(1)] + [Fraction(0)] * order
     for n in range(order):
         # derivative coefficient at x^n uses only T-coefficients up to x^n
@@ -219,7 +231,8 @@ def series_Tk(k, order):
 
 
 def series_Rk(k, order):
-    """EGF of increasing trees with unbounded root degree: exp(T_k - 1)."""
+    """EGF of increasing trees with unbounded root degree: exp(T_k - 1),
+    with k and order checked as series_Tk checks them."""
     return (series_Tk(k, order) - 1).exp()
 
 
@@ -290,6 +303,7 @@ def check_0021_conjecture(n_max, counts=None):
     computed by enumeration. Returns (ok, report) where the report lists
     the counts and the first failing coefficient if any.
     """
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if counts is None:

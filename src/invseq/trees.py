@@ -12,25 +12,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from operator import index
 
-from .series import RationalSeries, series_Rk, series_Tk
+from .core import _integer
+from .series import RationalSeries, _bound, series_Rk, series_Tk
 
 
 def _tree_args(n, k):
     """n as an int >= 0 and k as None (unbounded) or an int >= 1, taken
     through operator.index so that nothing is truncated."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise ValueError(f"n {n!r} is not an integer") from None
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k is not None:
-        try:
-            k = index(k)
-        except TypeError:
-            raise ValueError(f"k {k!r} is not an integer") from None
+        k = _integer(k, "k")
         if k < 1:
             raise ValueError("k must be >= 1")
     return n, k
@@ -69,9 +63,15 @@ def count_trees_bruteforce(n, k, root_unbounded=False):
     return sum(1 for _ in trees)
 
 
+def _series_args(n, k):
+    """_tree_args for the series oracles, which need a bound: k = None is
+    refused for every n, as series_Tk refuses it."""
+    return _tree_args(n, _bound(k))
+
+
 def count_trees_bounded(n, k):
     """|L_{n,k}| via the ODE series for T_k."""
-    n, k = _tree_args(n, k)
+    n, k = _series_args(n, k)
     if n == 0:
         return 1
     return series_Tk(k, n).egf_int(n)
@@ -85,7 +85,7 @@ def count_trees_root_unbounded(n, k):
     (n-1)-th EGF coefficient of exp(T_k - 1), not the n-th; exhaustive
     enumeration confirms the shift.
     """
-    n, k = _tree_args(n, k)
+    n, k = _series_args(n, k)
     if n == 0:
         return 1
     return series_Rk(k, n - 1).egf_int(n - 1)

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 from itertools import product, repeat
 
-from .core import Pattern, as_pattern, ordinary_bounds
+from .core import Pattern, _integer, as_pattern, ordinary_bounds
 from . import engine
 
 
@@ -35,6 +35,7 @@ def canonical_patterns(length):
 
 def count_vector(pattern, n_max):
     """Exact |I_n(pattern)| for n = 1..n_max."""
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     p = as_pattern(pattern)
@@ -76,6 +77,7 @@ def first_divergence(p, q, n_max):
     Counts are grown incrementally and compared per length, so the search
     stops at the first difference; the length n_max is only counted.
     """
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     p, q = as_pattern(p), as_pattern(q)

@@ -144,6 +144,12 @@ class TestTheorem31:
         with pytest.raises(ValueError):
             theorem31_rhs(40, (1, 1))
 
+    def test_rejects_non_integer_n(self):
+        for n in (2.5, "4"):
+            with pytest.raises(ValueError, match=f"n {n!r} is not an integer"):
+                theorem31_rhs(n, "11")
+        assert theorem31_rhs(np.int64(4), "11") == theorem31_rhs(4, "11")
+
     def test_rejects_non_integer_suffix(self):
         with pytest.raises(ValueError, match="suffix entry 1.5 at position 0"):
             theorem31_rhs(5, (1.5, 2))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,23 @@ class TestTreeSeries:
             assert lhs == rhs
 
 
+class TestTreeSeriesArguments:
+    @pytest.mark.parametrize("series", [series_Tk, series_Rk])
+    @pytest.mark.parametrize("k, order, message", [
+        (None, 3, "the series needs a bound k"),  # used to end in a TypeError
+        (1.5, 3, "k 1.5 is not an integer"),
+        (0, 3, "k must be >= 1"),
+        (2, 2.5, "order 2.5 is not an integer"),
+    ])
+    def test_rejects(self, series, k, order, message):
+        with pytest.raises(ValueError, match=message):
+            series(k, order)
+
+    @pytest.mark.parametrize("series", [series_Tk, series_Rk])
+    def test_numpy_integers(self, series):
+        assert series(np.int64(2), np.uint8(5)) == series(2, 5)
+
+
 class TestCIdentity:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_polynomial_identity(self, k):
@@ -146,6 +164,10 @@ class TestConjecture0021:
     def test_supplied_counts_must_match_n_max(self, given):
         with pytest.raises(ValueError, match="expected 3 counts"):
             check_0021_conjecture(3, counts=a218225_terms(given))
+
+    def test_rejects_non_integer_n_max(self):
+        with pytest.raises(ValueError, match="n_max 2.5 is not an integer"):
+            check_0021_conjecture(2.5)
 
     def test_enumerated_counts_small(self):
         ok, report = check_0021_conjecture(7)

@@ -77,6 +77,14 @@ class TestArguments:
             with pytest.raises(ValueError, match=re.escape(message)):
                 count(n, k)
 
+    @pytest.mark.parametrize("count", [count_trees_bounded, count_trees_root_unbounded])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_series_oracles_need_a_bound(self, count, n):
+        # The enumerator counts unbounded trees; the series have no k = None.
+        with pytest.raises(ValueError, match="the series needs a bound k"):
+            count(n, None)
+        assert count_trees_bruteforce(3, None) == 2
+
     def test_iter_trees_checks_at_the_call(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             iter_trees(3, 0)

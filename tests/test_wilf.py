@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from invseq import canonical_patterns, classify, count_vector, first_divergence, wilf
@@ -103,6 +104,18 @@ class TestClassify:
         seen = [p for c in classes for p in c.patterns]
         assert sorted(seen, key=lambda p: p.entries) == canonical_patterns(3)
         assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("count", [
+    lambda n: count_vector("3201", n).counts,
+    lambda n: first_divergence("01", "10", n),
+], ids=["count_vector", "first_divergence"])
+def test_n_max_must_be_an_integer(count):
+    # Not truncated, and not a bare TypeError from range.
+    for n_max in (2.5, "3", None):
+        with pytest.raises(ValueError, match=f"n_max {n_max!r} is not an integer"):
+            count(n_max)
+    assert count(np.int64(3)) == count(3)
 
 
 class TestFirstDivergence:
