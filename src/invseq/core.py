@@ -120,7 +120,7 @@ def validate_bounds(bounds):
 
 def ordinary_bounds(n):
     """The bound set (1, 2, ..., n) of ordinary inversion sequences."""
-    return tuple(range(1, n + 1))
+    return tuple(range(1, _integer(n, "n") + 1))
 
 
 def order_isomorphic(a, b):
@@ -140,6 +140,25 @@ def order_isomorphic(a, b):
 def _relations(p):
     """rel[t][a] = _cmp(p[t], p[a]) for a < t, for the canonical entries p."""
     return tuple(tuple(_cmp(p[t], p[a]) for a in range(t)) for t in range(len(p)))
+
+
+def _ends(head, x):
+    """(lo, hi, tie): the positions in `head` of the largest value below x,
+    of the smallest value above it, and of a value equal to it, each None
+    where there is none; with a tie, lo and hi are None, as it alone binds.
+
+    These are a letter's tightest bounds: once the values of a match of
+    `head` are known, a letter after them stands in x's relation to every
+    one of them iff it lies above the value at lo, below the one at hi and
+    equal to the one at tie. Equal pattern values are equal in a match, so
+    each value is given at its first position.
+    """
+    if x in head:
+        return None, None, head.index(x)
+    below = [v for v in head if v < x]
+    above = [v for v in head if v > x]
+    return (head.index(max(below)) if below else None,
+            head.index(min(above)) if above else None, None)
 
 
 def _completes(seq, n, nxt, rel):

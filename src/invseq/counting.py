@@ -99,6 +99,7 @@ def theorem31_rhs(n, suffix):
 def binary_avoider_formula(j, k, ell):
     """C(j + min(k, ell-2), j): binary words with j zeros and k ones avoiding
     any length-ell binary pattern with exactly one zero."""
+    ell = _integer(ell, "ell")
     if ell < 2:
         raise ValueError("ell must be >= 2")
     j, k = _integers((j, k), "(j, k) entry")
@@ -144,6 +145,7 @@ def _zero_positions(e):
 def terminal_h_repeat(e, h):
     """Largest r such that e has >= r zeros and some positive value occurs
     at least h times strictly after the r-th zero; 0 if none."""
+    h = _integer(h, "h")
     if h < 0:
         raise ValueError("h must be nonnegative")
     zeros = _zero_positions(e)
@@ -161,6 +163,7 @@ def terminal_h_repeat(e, h):
 def initial_h_repeat(e, h):
     """Largest r such that e has >= r zeros and some positive value occurs
     at least h times strictly before the r-th-to-last zero; 0 if none."""
+    h = _integer(h, "h")
     if h < 1:
         raise ValueError("h must be positive")
     zeros = _zero_positions(e)

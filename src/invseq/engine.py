@@ -1,57 +1,37 @@
 """Vectorized avoider enumeration.
 
 Grows the set of pattern-avoiding S-inversion sequences one position at a
-time as a numpy matrix (one row per avoider, rows in lexicographic order).
-Correctness rests on hereditary avoidance: every prefix of an avoider
-avoids, so extending only surviving rows and rejecting extensions that
-complete an occurrence at the new position enumerates exactly the avoiders.
+time as a numpy matrix: one row per avoider, rows in lexicographic order,
+stored column-major, entries in the narrowest signed integer dtype that
+holds the largest bound minus one. Correctness rests on hereditary
+avoidance: every prefix of an avoider avoids, so extending only surviving
+rows and rejecting extensions that complete an occurrence at the new
+position enumerates exactly the avoiders.
 
-A sequence shorter than the pattern cannot contain it, so the layers
-before the pattern's length are whole lexicographic products, written
-down as `full_matrix` writes its matrix, and growth starts at the
-pattern's length, from clear bits. A count of a length shorter than the
-pattern is the product of its bounds.
-
-Each growth step first finds, for every row, the next values that would
-complete an occurrence. For a choice of L-1 columns whose values realize
-the pattern head p[:L-1], those values form one interval: v must lie above
-every entry whose pattern value is below p[L-1], below every entry whose
-pattern value is above it, and equal to any tied entry; choices sharing
-the columns of the interval's ends share it, so it is found once for them,
-and where one end is at the last column for every choice, a row's intervals
-all share that end, so their union is one interval, found once per row.
-The forbidden values of a row are bits in uint64 words, ceil(largest bound
-/ 64) words per row, so their union is a bitwise OR; the children whose bit
-is clear survive. A grown row starts from its parent's bits, which hold
-every occurrence ending before its last column, so a growth step tests
-only the choices ending there. A count of the last length, rows × s minus
-the set bits below s, builds no layer. `avoider_steps` yields its layers
-bare, so the count reads the bits of the last layer's parents off that
-layer: a parent's children, adjacent rows sharing its prefix, end in the
-values below their bound b that its bits leave clear, and b - 1 and every
-larger value lie above all the parent's entries, so they share one bit.
-Those bits are carried into the children as in a growth step. The count
-takes at most max(_BLOCK, b) rows at a time, cut where a parent's
-children start, so it never holds the bits of a whole layer. Layers are
-stored column-major, so each column comparison reads contiguous memory.
-Entries use the narrowest signed integer dtype that holds the largest
-bound minus one, so none wraps.
-
-`count_steps` hands the last length to the state engine (states.py) when
-the pattern's state keeps one lower- or upper-bound value per level and
-the state engine's work fits within the rows of the last layer over
-_ROWS_PER_UNIT, so it replaces a matrix count only where it is cheaper:
-on large layers whose prefixes merge into few states. The layers before
-the last are still drawn from `avoider_steps`, so a wrapper there sees
-every layer a count builds, and their rows check the state engine: its
-count is yielded only after its counts at every shorter length equal the
-layers' rows.
-
-Each step first predicts its bytes from its shape and, if they exceed the
-memory the OS reports available, raises MemoryError before it allocates.
-The OS is asked again only when a step needs more than its last answer
-left after the steps since. A count done in blocks predicts one block's
-arrays, and its refusal names the whole layer.
+- A sequence shorter than the pattern cannot contain it, so those layers
+  are whole lexicographic products, written down and not grown, and a
+  count of such a length is the product of its bounds.
+- A growth step finds each row's forbidden next values as bits in uint64
+  words, ceil(largest bound / 64) per row; the children whose bit is clear
+  survive. For each match of the pattern head p[:-1] ending at the last
+  column, the values that complete it form one interval, bounded by the
+  last letter's tightest bounds (core._ends). Matches sharing the columns
+  of the interval's ends share it; where one end is always the last
+  column, a row's intervals have one union, found once per row.
+- A grown row starts from its parent's bits, which hold every occurrence
+  ending before its last column, so a step tests only the matches ending
+  there. The first step, at the pattern's length, starts from clear bits.
+- What a step reads of the pattern (_word_plan) is built once per pattern
+  and words per row, and kept.
+- A count never builds its last layer: it is rows × s minus the set bits
+  below s. `count_steps` reads the bits of the last layer's parents off
+  that layer (see _parent_bits), in blocks of at most max(_BLOCK, b) rows,
+  or hands the last length to the state engine (states.py) where that
+  work fits the last layer's rows over _ROWS_PER_UNIT.
+- Each step predicts its bytes from its shape and raises MemoryError
+  before it allocates when they exceed the memory the OS reports
+  available (see _budget). A count done in blocks predicts one block's
+  arrays, and its refusal names the whole layer.
 """
 
 from __future__ import annotations
@@ -65,7 +45,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import states
-from .core import _relations, as_pattern, validate_bounds
+from .core import _ends, _relations, as_pattern, validate_bounds
 
 _INT_DTYPES = [(np.iinfo(dt).max, dt) for dt in (np.int8, np.int16, np.int32)]
 
@@ -93,73 +73,58 @@ def _dtype_for(bounds):
     return _int_dtype(max(bounds, default=1) - 1)
 
 
-def _interval_ends(p):
-    """Where the forbidden interval [lo, hi] for the new value v comes from.
-
-    Returns (start, stop), each None or (head position, offset): given the
-    matched head values x, lo = x[start[0]] + start[1] (0 when start is
-    None) and hi + 1 = x[stop[0]] + stop[1] (no upper end when stop is
-    None). A tied entry pins v to its value. Otherwise v lies just above
-    the largest head value below p[-1] and just below the smallest one
-    above it; once the head matches, entries with equal pattern values are
-    equal, so one position of each suffices.
-    """
-    last, head = p[-1], p[:-1]
-    tie = next((a for a, x in enumerate(head) if x == last), None)
-    if tie is not None:
-        return (tie, 0), (tie, 1)
-    lower = [a for a, x in enumerate(head) if x < last]
-    upper = [a for a, x in enumerate(head) if x > last]
-    start = (max(lower, key=head.__getitem__), 1) if lower else None
-    stop = (min(upper, key=head.__getitem__), 0) if upper else None
-    return start, stop
-
-
 def _plan(pattern, bounds):
     """What every growth step for `pattern` over `bounds` needs: (rel, ends,
-    union, words), words being the uint64 words per row (see _pattern_plan).
-
-    Each end's per-word indices are built here, once per call, after their
-    memory is reserved.
-    """
-    top = max(bounds, default=1)
-    words = -(-top // _WORD)
-    rel, ends, union = _pattern_plan(as_pattern(pattern).entries)
-    _reserve(8 * words * len(ends), "indexing the forbidden values below {:,}", top)
-    # Word w holds the values 64w..64w+63; clipping the index to 0..64
-    # leaves a word all clear or all set past its range.
-    ends = tuple((pos, table, np.arange(offset, offset - _WORD * words, -_WORD))
-                 for pos, table, offset in ends)
-    return rel, ends, union, words
+    union, words), words being the uint64 words per row (see _word_plan)."""
+    return _word_plan(as_pattern(pattern).entries, -(-max(bounds, default=1) // _WORD))
 
 
 @lru_cache(maxsize=64)
-def _pattern_plan(p):
-    """(rel, ends, union) for pattern entries p (see _plan).
+def _word_plan(p, words):
+    """(rel, ends, union, words) for pattern entries p at `words` words per row.
 
     rel is core's relation table cut to the pattern head: rel[t][a] is the
-    sign of p[t] - p[a] for a < t < len(p) - 1. ends has one (head
-    position, table, offset) for each end of the forbidden interval (see
-    _interval_ends): for the matched head value x at that position,
-    table.take(x + offset - 64 * w, mode="clip") is word w of the values
-    on the interval's side of that end, so their AND is the interval.
-    union is None unless exactly one end sits at the last head position,
-    which every head match puts at the level's last column: then all the
-    intervals of a row share that end, their union is one interval, and
-    union is (i, extreme) for the other end, ends[i], whose widest value
-    over the matches is np.minimum of starts or np.maximum of stops.
+    sign of p[t] - p[a] for a < t < len(p) - 1. Given the matched head
+    values x, the values that complete an occurrence form one interval
+    [lo, hi], bounded by the last letter's tightest bounds (core._ends):
+    lo = x[a] + 1 for its lower bound a, hi = x[b] - 1 for its upper bound
+    b, and lo = hi = x[c] for a tie c. ends has one (head position, table,
+    index) for each end there is: table.take(x + index[w], mode="clip") is
+    word w of the values on the interval's side of that end, so their AND
+    is the interval. union is None unless exactly one end sits at the last
+    head position, which every head match puts at the level's last column:
+    then all the intervals of a row share that end, their union is one
+    interval, and union is (i, extreme) for the other end, ends[i], whose
+    widest value over the matches is np.minimum of starts or np.maximum of
+    stops.
+
+    A plan is built once per process for each key and kept: its indices
+    take 8 bytes per word and end, at most 16 per word, which is 8 KB at
+    the bound 32,768 and 33.5 MB at 2^27, for each of up to 64 plans. A
+    plan not yet kept reserves its indices before it builds them.
     """
     k = len(p) - 1
-    rel = _relations(p)[:k]
-    start, stop = _interval_ends(p)
-    ends = tuple((end[0], table, end[1])
-                 for end, table in zip((start, stop), (_HIGH, _LOW))
-                 if end is not None)
+    lo, hi, tie = _ends(p[:-1], p[-1])
+    # Each end as (head position, offset): lo and hi + 1 are x[pos] + offset.
+    if tie is not None:
+        start, stop = (tie, 0), (tie, 1)
+    else:
+        start = None if lo is None else (lo, 1)
+        stop = None if hi is None else (hi, 0)
     union = None
     if start and stop and (start[0] == k - 1) != (stop[0] == k - 1):
         vary = 1 if start[0] == k - 1 else 0
         union = vary, (np.minimum, np.maximum)[vary]
-    return rel, ends, union
+    ends = [(end, table) for end, table in zip((start, stop), (_HIGH, _LOW)) if end]
+    _reserve(8 * words * len(ends), "indexing the forbidden values below {:,}",
+             _WORD * words)
+    # Word w holds the values 64w..64w+63; clipping the index to 0..64
+    # leaves a word all clear or all set past its range.
+    ends = tuple((pos, table, np.arange(offset, offset - _WORD * words, -_WORD))
+                 for (pos, offset), table in ends)
+    for _, _, index in ends:
+        index.flags.writeable = False  # shared by every step that reads the plan
+    return _relations(p)[:k], ends, union, words
 
 
 # What the last reading of free memory left after the requests granted
@@ -243,7 +208,7 @@ def _head_matches(cols, rel, combo=(), mask=None):
 def _or_level(bits, sub, rel, ends, union):
     """OR into `bits` the intervals of the head matches ending at the last
     column of `sub`: once per group of matches with the same end columns,
-    or once per row where one end is shared (union, see _pattern_plan)."""
+    or once per row where one end is shared (union, see _word_plan)."""
     key = itemgetter(*[pos for pos, _, _ in ends])
     groups = {}  # a group's first match and the OR of its masks, by end columns
     for combo, mask in _head_matches(sub, rel):
@@ -289,9 +254,10 @@ def _forbidden(E, plan, parent=None, layer_rows=None):
     Returns a (rows, words) uint64 array in which bit v % 64 of word v // 64
     of row r is set when row r followed by v contains the pattern. `parent`
     is (bits, counts) of the rows E grew from, counts[i] of them from the
-    ith; its bits hold every occurrence ending before the last column. It
-    is None only for the empty layer. E may be a run of consecutive rows
-    of a layer, whose rows `layer_rows` names in a refusal.
+    ith; its bits hold every occurrence ending before the last column.
+    Without it, no occurrence ends before E's last column, as in the empty
+    layer and the layers no longer than the pattern head. E may be a run of
+    consecutive rows of a layer, whose rows `layer_rows` names in a refusal.
     """
     rel, ends, union, words = plan
     rows, m = E.shape
@@ -310,10 +276,10 @@ def _forbidden(E, plan, parent=None, layer_rows=None):
              layer_rows or rows, m)
     if not k:  # a one-letter pattern: every value completes it
         return np.full((rows, words), _LOW[-1], dtype=_BITS)
-    if parent is None:  # the empty layer
-        return np.zeros((rows, words), dtype=_BITS)
-    bits = parent[0].repeat(parent[1], axis=0)
-    _or_level(bits, E.T, rel, ends, union)  # none when m < k
+    bits = (np.zeros((rows, words), dtype=_BITS) if parent is None
+            else parent[0].repeat(parent[1], axis=0))
+    if m:
+        _or_level(bits, E.T, rel, ends, union)  # none when m < k
     return bits
 
 
@@ -437,22 +403,15 @@ def avoider_steps(bounds, pattern):
     of I_{S_m}(pattern), in lexicographic order, stored column-major. A
     sequence shorter than the pattern cannot contain it, so the layers
     before the pattern's length are whole products, written down and not
-    grown; growth starts at the pattern's length from their clear bits.
+    grown; growth starts at the pattern's length, where no occurrence ends
+    before the last column.
     """
     bounds = validate_bounds(bounds)
     plan = _plan(pattern, bounds)
     E, parent = _empty_layer(bounds), None
-    head = len(plan[0])
-    for m in range(1, min(head, len(bounds)) + 1):
+    for m in range(1, min(len(plan[0]), len(bounds)) + 1):
         E = _product(bounds[:m], E.dtype)
         yield E
-    if 0 < head < len(bounds):
-        # Each parent row, all bits clear, has all bounds[head - 1] children.
-        s = bounds[head - 1]
-        rows = len(E) // s
-        _reserve(rows * (8 * plan[-1] + 8), "clearing the bits of {:,} rows of length {}",
-                 rows, head - 1)
-        parent = np.zeros((rows, plan[-1]), dtype=_BITS), np.full(rows, s)
     for s in bounds[E.shape[1]:]:
         forbidden = _forbidden(E, plan, parent)
         E, counts = _grow(E, s, forbidden)

@@ -190,11 +190,13 @@ def cos_series(order):
 
 def tan_plus_sec(order):
     """EGF of the Euler up/down numbers: (sin x + 1) / cos x."""
+    order = _integer(order, "order")
     return (sin_series(order) + 1) * cos_series(order).reciprocal()
 
 
 def euler_numbers(n_max):
     """E_0..E_n_max from the tan+sec expansion."""
+    n_max = _integer(n_max, "n_max")
     s = tan_plus_sec(n_max)
     return [s.egf_int(n) for n in range(n_max + 1)]
 
@@ -238,6 +240,7 @@ def series_Rk(k, order):
 
 def c_coefficients(k):
     """The rational constants c_{m,k}, m = 0..k-2, of the rewritten ODE."""
+    k = _integer(k, "k")
     if k < 2:
         raise ValueError("k must be >= 2")
     out = []
@@ -282,6 +285,7 @@ def a218225_terms(n_max):
 
     Independent of avoider enumeration; used as a cross-check oracle.
     """
+    n_max = _integer(n_max, "n_max")
     a = [0] * (n_max + 1)  # a[0] unused
     for n in range(1, n_max + 1):
         acc = 1  # [x^n] of 1/(1-x) - 1

@@ -47,7 +47,7 @@ from typing import NamedTuple
 # engine imports this module for its route, so its memory guard is looked
 # up on the module at call time.
 from . import engine
-from .core import as_pattern, validate_bounds
+from .core import _ends, as_pattern, validate_bounds
 
 # Bytes a successor state may take, beyond its F (about top / 7.5 bytes):
 # its dict slot, key, frontier tuples and count, and per kept match its
@@ -55,18 +55,6 @@ from .core import as_pattern, validate_bounds
 # 105-522 bytes per successor under tracemalloc (CPython 3.11, 64-bit).
 _STATE_BYTES = 400
 _MATCH_BYTES = 120
-
-
-def _ends(head, x):
-    """(lo, hi, tie): the positions in `head` of the largest value below x,
-    of the smallest value above it, and of a value equal to it, each None
-    where there is none; with a tie, lo and hi are None, as it alone binds."""
-    if x in head:
-        return None, None, head.index(x)
-    below = [v for v in head if v < x]
-    above = [v for v in head if v > x]
-    return (head.index(max(below)) if below else None,
-            head.index(min(above)) if above else None, None)
 
 
 class _Level(NamedTuple):

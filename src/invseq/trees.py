@@ -96,8 +96,12 @@ def boxed_counts_operator(k, n_max):
 
     Term n equals |L'_{n+1,k}| (same root-removal shift as the EGF).
     Independent of the exp(T_k - 1) route; any disagreement between the
-    two is a fault worth reporting, not reconciling.
+    two is a fault worth reporting, not reconciling. k is checked as that
+    route checks it (series._bound), and n_max is an int >= 0.
     """
+    k, n_max = _bound(k), _integer(n_max, "n_max")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     order = 2 * n_max + 1
     f = RationalSeries(
         [Fraction(1, factorial(i)) for i in range(order + 1)], order, "exponential"

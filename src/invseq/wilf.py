@@ -24,6 +24,7 @@ class WilfClass:
 
 def canonical_patterns(length):
     """All canonical words of the given length, lexicographic order."""
+    length = _integer(length, "length")
     if length < 1:
         raise ValueError("length must be >= 1")
     out = []
@@ -50,6 +51,7 @@ def classify(length, n_max, threads=os.cpu_count() or 1):
     lexicographically smallest pattern; the partition is independent of
     input order and worker count.
     """
+    threads = _integer(threads, "threads")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     patterns = canonical_patterns(length)

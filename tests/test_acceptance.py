@@ -1,6 +1,6 @@
 """End-to-end acceptance checks for the library, one per claimed result.
 
-Criteria 2-14 run the claims of `invseq.claims`, the same definitions
+Every criterion runs claims of `invseq.claims`, the same definitions
 `invseq check` runs, at the bounds in `CRITERIA`; a bound is never below
 the claim's default `--nmax`. Each check prints a single pass/fail line
 (run pytest with -s to see them interleaved) and asserts exact integer
@@ -9,7 +9,6 @@ equality; there are no tolerances anywhere in this file.
 
 from pathlib import Path
 
-from invseq import classify
 from invseq.bfile import compare_with_bfile, parse_bfile
 from invseq.claims import CLAIMS
 from invseq.cli import RunReport
@@ -22,29 +21,8 @@ def report(num, title, ok):
     assert ok, f"criterion {num}: {title}"
 
 
-def test_01_wilf_sweep_length4():
-    classes = classify(4, 9, threads=2)
-    membership = {}
-    for idx, cls in enumerate(classes):
-        for p in cls.patterns:
-            membership[str(p)] = idx
-    groups = [
-        ("1011", "1101", "1110"),
-        ("2110", "2101", "2011", "2001"),  # 2001 still agrees through n=9
-        ("0221", "0212"),
-        ("0312", "0321"),
-        ("1102", "1012"),
-        ("2201", "2210"),
-        ("2301", "2310"),
-        ("3201", "3210"),
-    ]
-    ok = sum(len(c.patterns) for c in classes) == 75
-    for group in groups:
-        ok = ok and len({membership[p] for p in group}) == 1
-    report(1, "classify(4, 9) respects every proved equivalence class", ok)
-
-
 CRITERIA = {  # criterion: (nmax, claims)
+    1: (9, ["classify-4"]),
     2: (10, ["divergence-2001"]),
     3: (10, ["conj-3012"]),
     4: (9, ["euler-000"]),
@@ -83,6 +61,7 @@ def criterion(num):
 
 # The test names predate the shared claims; they are kept so that a
 # criterion's history stays under one name.
+test_01_wilf_sweep_length4 = criterion(1)
 test_02_divergence_of_2001_at_10 = criterion(2)
 test_03_conjectured_3012_equivalence = criterion(3)
 test_04_euler_numbers = criterion(4)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from invseq import bijections
+from invseq import bijections, wilf
 from invseq.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -222,6 +222,14 @@ class TestChecks:
         assert "PASS bijection-3210 n=2" in err
         assert "FAIL bijection-3210 n=3" in err
 
+    def test_classify_4_names_a_split_class(self, capsys, monkeypatch):
+        # Every pattern in a class of its own splits every proved class.
+        monkeypatch.setattr(wilf, "classify", lambda length, nmax: [
+            wilf.WilfClass((p,), (i,)) for i, p in enumerate(wilf.canonical_patterns(length))])
+        code, out, err = run(["check", "classify-4", "--nmax", "9"], capsys)
+        assert code == 1 and len(rows_csv(out)) == 75
+        assert "PASS classify-4 75 patterns" in err
+        assert "FAIL classify-4 3201=3210" in err and "FAIL classify-4 2001=2011" in err
 
     @pytest.mark.parametrize("nmax", ["9", "10"])
     def test_divergence_below_and_at_ten(self, capsys, nmax):
@@ -253,6 +261,7 @@ class TestChecks:
         ("conj-3012", 12),
         ("conj-0021", 13),
         ("divergence-2001", 11),
+        ("classify-4", 11),
     ])
     def test_long_check_needs_allow_long(self, capsys, name, nmax):
         with pytest.raises(SystemExit) as exc:

@@ -8,13 +8,23 @@ from hypothesis import strategies as st
 
 from invseq import (
     Pattern,
+    a218225_terms,
+    binary_avoider_formula,
+    c_coefficients,
+    c_identity_holds,
     canonical_patterns,
+    classify,
     contains,
+    count_avoiders_n,
+    euler_numbers,
     extend_avoids,
+    initial_h_repeat,
     lehmer_decode,
     lehmer_encode,
     order_isomorphic,
     ordinary_bounds,
+    tan_plus_sec,
+    terminal_h_repeat,
 )
 from invseq.core import canonicalize, is_permutation, validate_bounds
 
@@ -241,3 +251,30 @@ class TestSInvSeq:
         bounds = validate_bounds(np.arange(1, 4, dtype=np.int16))
         assert bounds == (1, 2, 3) and all(type(b) is int for b in bounds)
         assert validate_bounds(range(2, 5)) == (2, 3, 4)
+
+
+class TestIntegerArguments:
+    """Integer arguments are taken through core._integer: a non-integer is
+    refused with a ValueError naming the argument, and numpy integers pass."""
+
+    @pytest.mark.parametrize("call, name, value", [
+        (euler_numbers, "n_max", 5),
+        (a218225_terms, "n_max", 5),
+        (c_coefficients, "k", 4),
+        (c_identity_holds, "k", 4),
+        (canonical_patterns, "length", 3),
+        (lambda v: classify(2, 3, threads=v), "threads", 1),  # 1: no pool
+        (lambda v: terminal_h_repeat((0, 1, 1, 0, 2, 2), v), "h", 2),
+        (lambda v: initial_h_repeat((1, 1, 0, 0), v), "h", 2),
+        (tan_plus_sec, "order", 4),
+        (ordinary_bounds, "n", 3),
+        (lambda v: count_avoiders_n(v, "010"), "n", 5),
+        (lambda v: binary_avoider_formula(3, 4, v), "ell", 4),
+    ], ids=["euler_numbers", "a218225_terms", "c_coefficients", "c_identity_holds",
+            "canonical_patterns", "classify-threads", "terminal_h_repeat",
+            "initial_h_repeat", "tan_plus_sec", "ordinary_bounds", "count_avoiders_n",
+            "binary_avoider_formula"])
+    def test_non_integer_refused_numpy_integer_taken(self, call, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} 1.5 is not an integer")):
+            call(1.5)
+        assert call(np.int64(value)) == call(value)

@@ -202,6 +202,26 @@ def test_subset_total_matches_subset_sums(pattern):
     assert engine.subset_total(ground, pattern) == want
 
 
+def test_plan_built_once_per_pattern_and_words(monkeypatch):
+    # count_steps, avoider_steps and the last count share one plan, kept
+    # across calls, so two rounds of counts index the forbidden values once
+    # per pattern and words per row.
+    cases = [(ordinary_bounds(7), "3201"), ((3, 65, 130), "10"), ((2, 3, 5), "10")]
+    want = [count_avoiders(bounds, p, "reference") for bounds, p in cases]
+    reserve, built = engine._reserve, []
+
+    def recording(nbytes, step, *args):
+        if step.startswith("indexing the forbidden values"):
+            built.append(args)
+        return reserve(nbytes, step, *args)
+
+    engine._word_plan.cache_clear()
+    monkeypatch.setattr(engine, "_reserve", recording)
+    for _ in range(2):
+        assert [count_avoiders(bounds, p) for bounds, p in cases] == want
+    assert built == [(64,), (192,), (64,)]
+
+
 def test_counts_draw_their_layers_from_avoider_steps(monkeypatch):
     # A wrapper on engine.avoider_steps, as a tracer installs, sees every
     # call with its whole bound tuple and each layer before the last.
@@ -324,6 +344,7 @@ def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds, block)
 
 
 def test_step_refused_before_it_allocates(monkeypatch):
+    engine._word_plan.cache_clear()  # so the 2^27 plan is built, not found
     needs = []
     monkeypatch.setattr(engine, "_budget", lambda need: needs.append(need) or 10**6)
     for count, where in (
@@ -349,8 +370,8 @@ def test_step_refused_before_it_allocates(monkeypatch):
 @pytest.mark.parametrize("bounds, budget, where", [
     # Layer 3 of 3201, a product of 6,000,000 rows.
     ((100, 200, 300, 400), 10**6, "listing all 6,000,000 sequences of length 3"),
-    # The clear bits carried into layer 3: 3,000 rows of 262,144 words.
-    ((50, 60, 70, 2**24), 10**7, "clearing the bits of 3,000 rows of length 2"),
+    # The first growth step, from clear bits: 210,000 rows of 262,144 words.
+    ((50, 60, 70, 2**24), 10**7, "finding the values forbidden after 210,000 rows of length 3"),
 ])
 def test_product_layer_refused_before_it_allocates(monkeypatch, bounds, budget, where):
     needs = []

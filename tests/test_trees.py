@@ -102,3 +102,20 @@ class TestOperator:
 
     def test_known_prefix_k2(self):
         assert boxed_counts_operator(2, 6) == [1, 1, 2, 6, 23, 107, 583]
+
+    @pytest.mark.parametrize("k, n_max, message", [
+        (1.5, 3, "k 1.5 is not an integer"),
+        (2, 2.5, "n_max 2.5 is not an integer"),
+        (None, 3, "the series needs a bound k"),
+        (0, 3, "k must be >= 1"),  # used to give [1, 1, 1, 1]
+        (2, -1, "n_max must be nonnegative"),
+    ])
+    def test_rejects_what_the_exp_route_rejects(self, k, n_max, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            boxed_counts_operator(k, n_max)
+        if n_max == 3:  # k is refused as the route it is checked against refuses it
+            with pytest.raises(ValueError, match=re.escape(message)):
+                count_trees_root_unbounded(n_max + 1, k)
+
+    def test_numpy_integer_arguments(self):
+        assert boxed_counts_operator(np.int8(2), np.int64(6)) == boxed_counts_operator(2, 6)
