@@ -26,8 +26,8 @@ position enumerates exactly the avoiders.
 - A count never builds its last layer: it is rows × s minus the set bits
   below s. `count_steps` reads the bits of the last layer's parents off
   that layer (see _parent_bits), in blocks of at most max(_BLOCK, b) rows,
-  or hands the last length to the state engine (states.py) where that
-  work fits the last layer's rows over _ROWS_PER_UNIT.
+  or hands the last length to the row engine (states.row_counts) where its
+  work fits the last layer's rows times _UNITS_PER_ROW.
 - Each step predicts its bytes from its shape and raises MemoryError
   before it allocates when they exceed the memory the OS reports
   available (see _budget). A count done in blocks predicts one block's
@@ -58,9 +58,10 @@ _HIGH = ~_LOW
 # Rows per block of a layer whose last step is counted (see _count_after):
 # fewer makes more numpy calls, more holds more bits.
 _BLOCK = 1 << 18
-# Rows of the matrix's last count that cost about as much time as one unit
-# of the state engine's work, a state and value (see _merged_count).
-_ROWS_PER_UNIT = 100
+# Units of the row engine's work (see states.row_counts) that cost about as
+# much time as one row of the matrix's last count (see _merged_count),
+# measured where the two cross.
+_UNITS_PER_ROW = 25
 
 
 def _int_dtype(limit):
@@ -425,7 +426,7 @@ def count_steps(bounds, pattern):
     The lengths before the last are read from `avoider_steps`, looked up on
     this module at each call, so a wrapper put there sees every layer built;
     those shorter than the pattern are products, grown by no step. The last
-    is counted and never built: by the state engine where that is cheaper
+    is counted and never built: by the row engine where that is cheaper
     (see _merged_count), otherwise from the last layer drawn alone (see
     _count_after).
     """
@@ -445,24 +446,24 @@ def count_steps(bounds, pattern):
 
 
 def _merged_count(bounds, pattern, rows):
-    """The count of the last length from the state engine, checked against
+    """The count of the last length from the row engine, checked against
     the layers' `rows` at every shorter length, or None where the matrix
     count is the cheaper one.
 
-    The state engine runs when each level of the pattern's state keeps one
-    value (states.single_valued), and only while its work stays within the
-    rows of the last layer drawn over _ROWS_PER_UNIT, so it never costs
-    much more than the matrix count it replaces. A count that differs from
-    a layer's rows raises RuntimeError naming the first such length.
+    The row engine runs for every pattern whose states it holds
+    (states.fits_rows), and only while its work stays within the rows of
+    the last layer drawn times _UNITS_PER_ROW, so it never costs much more
+    than the matrix count it replaces. It is not started where that budget
+    is below the fixed units of every length. A count that differs from a
+    layer's rows raises RuntimeError naming the first such length.
     """
-    work = (rows[-1] if rows else 1) // _ROWS_PER_UNIT
-    # Each length costs a unit at least, unless a count is 0.
-    if work < len(bounds) or not states.single_valued(pattern):
+    work = (rows[-1] if rows else 1) * _UNITS_PER_ROW
+    if work < len(bounds) * states._LENGTH_UNITS or not states.fits_rows(pattern):
         return None
-    counts = list(states.state_counts(bounds, pattern, work))
+    counts = list(states.row_counts(bounds, pattern, work))
     for m, (got, want) in enumerate(zip(counts, rows), 1):
         if got != want:
-            raise RuntimeError(f"the state engine counts {got:,} sequences of length "
+            raise RuntimeError(f"the row engine counts {got:,} sequences of length "
                                f"{m}, where the layer holds {want:,}")
     return counts[-1] if len(counts) == len(bounds) else None
 

@@ -194,9 +194,18 @@ def tan_plus_sec(order):
     return (sin_series(order) + 1) * cos_series(order).reciprocal()
 
 
+def _nonnegative(value, what):
+    """value as an int >= 0, taken through operator.index (core._integer);
+    anything else raises ValueError naming `what`."""
+    value = _integer(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return value
+
+
 def euler_numbers(n_max):
     """E_0..E_n_max from the tan+sec expansion."""
-    n_max = _integer(n_max, "n_max")
+    n_max = _nonnegative(n_max, "n_max")
     s = tan_plus_sec(n_max)
     return [s.egf_int(n) for n in range(n_max + 1)]
 
@@ -269,7 +278,9 @@ def c_identity_holds(k):
 
 
 def ode_via_c_matches(k, order):
-    """k! T_k' == T_k^k + sum_m c_{m,k} T_k^m as truncated series."""
+    """k! T_k' == T_k^k + sum_m c_{m,k} T_k^m as truncated series, for an
+    int order >= 0."""
+    order = _nonnegative(order, "order")
     t = series_Tk(k, order + 1)
     lhs = t.differentiate() * factorial(k)
     t = t.truncate(order)
@@ -285,7 +296,7 @@ def a218225_terms(n_max):
 
     Independent of avoider enumeration; used as a cross-check oracle.
     """
-    n_max = _integer(n_max, "n_max")
+    n_max = _nonnegative(n_max, "n_max")
     a = [0] * (n_max + 1)  # a[0] unused
     for n in range(1, n_max + 1):
         acc = 1  # [x^n] of 1/(1-x) - 1

@@ -14,15 +14,13 @@ from fractions import Fraction
 from math import factorial
 
 from .core import _integer
-from .series import RationalSeries, _bound, series_Rk, series_Tk
+from .series import RationalSeries, _bound, _nonnegative, series_Rk, series_Tk
 
 
 def _tree_args(n, k):
     """n as an int >= 0 and k as None (unbounded) or an int >= 1, taken
     through operator.index so that nothing is truncated."""
-    n = _integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _nonnegative(n, "n")
     if k is not None:
         k = _integer(k, "k")
         if k < 1:
@@ -99,9 +97,7 @@ def boxed_counts_operator(k, n_max):
     two is a fault worth reporting, not reconciling. k is checked as that
     route checks it (series._bound), and n_max is an int >= 0.
     """
-    k, n_max = _bound(k), _integer(n_max, "n_max")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    k, n_max = _bound(k), _nonnegative(n_max, "n_max")
     order = 2 * n_max + 1
     f = RationalSeries(
         [Fraction(1, factorial(i)) for i in range(order + 1)], order, "exponential"

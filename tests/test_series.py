@@ -80,6 +80,11 @@ class TestTrig:
     def test_euler_numbers(self):
         assert euler_numbers(10) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
 
+    def test_euler_numbers_reject_a_negative_n_max(self):
+        assert euler_numbers(0) == [1]
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            euler_numbers(-1)
+
     def test_tan_plus_sec_derivative_identity(self):
         # y = tan + sec satisfies 2y' = 1 + y^2
         y = tan_plus_sec(9)
@@ -139,6 +144,14 @@ class TestCIdentity:
     def test_rewritten_ode(self, k):
         assert ode_via_c_matches(k, 8)
 
+    @pytest.mark.parametrize("order, message", [
+        (2.5, "order 2.5 is not an integer"),  # used to name 3.5, order + 1
+        (-1, "order must be nonnegative"),
+    ])
+    def test_rewritten_ode_checks_order(self, order, message):
+        with pytest.raises(ValueError, match=message):
+            ode_via_c_matches(3, order)
+
     def test_c22(self):
         # k=2: c_{0,2} = 2!(1 - 1 + 1/2) = 1
         assert c_coefficients(2) == [Fraction(1)]
@@ -147,6 +160,11 @@ class TestCIdentity:
 class TestConjecture0021:
     def test_recursion_prefix(self):
         assert a218225_terms(8) == [1, 2, 6, 23, 101, 480, 2400, 12434]
+
+    def test_recursion_rejects_a_negative_n_max(self):
+        assert a218225_terms(0) == []
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):  # used to give []
+            a218225_terms(-3)
 
     def test_supplied_counts_holds(self):
         ok, report = check_0021_conjecture(8, counts=a218225_terms(8))

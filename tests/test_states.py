@@ -1,8 +1,9 @@
 import gc
 import tracemalloc
 from collections import defaultdict
-from math import prod
+from math import comb, prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from invseq import (
 )
 from invseq.core import as_pattern, ordinary_bounds
 from invseq.engine import avoider_steps
-from invseq.states import single_valued, state_counts
+from invseq.states import fits_rows, row_counts, state_counts
 
 _ALL_UP_TO_4 = [p for n in (1, 2, 3, 4) for p in canonical_patterns(n)]
 # One pattern of each kind of state: one value per level, "eq" positions
@@ -29,12 +30,27 @@ _ALL_UP_TO_4 = [p for n in (1, 2, 3, 4) for p in canonical_patterns(n)]
 _SHAPES = ["3201", "0122", "0021", "3012", "1001", "0101", "0000", "2011", "1012", "0231"]
 
 
+def _check_both_engines(bounds, pattern, want):
+    """Step both state engines side by side: the dict engine's counts, as
+    state_counts sums them, equal `want`, and at every length the row
+    engine keeps as many states, so equal frontiers merge in rows."""
+    p, top = as_pattern(pattern).entries, bounds[-1]
+    level = {states._start(p, top): 1}
+    rows, counts = states._row_start(p, top), np.ones(1, np.uint64)
+    for m, s in enumerate(bounds):
+        assert sum(states._free(F, s) * c for (_, F), c in level.items()) == want[m], (pattern, m)
+        if m + 1 < len(bounds):
+            level = states._step(level, s, p, top)
+            rows, counts = states._row_step(rows, counts, s, p, top)
+            assert len(level) == len(rows), (pattern, m)
+    assert list(row_counts(bounds, pattern)) == want, pattern
+
+
 def test_counts_match_the_layers():
     # Every canonical pattern of length 1-4, including the empty head of 0.
     bounds = ordinary_bounds(8)
     for p in _ALL_UP_TO_4:
-        want = [E.shape[0] for E in avoider_steps(bounds, p)]
-        assert list(state_counts(bounds, p)) == want, str(p)
+        _check_both_engines(bounds, p, [E.shape[0] for E in avoider_steps(bounds, p)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -51,17 +67,30 @@ def test_counts_match_reference_on_bound_sets(pattern, head, tail):
     want = [sum(1 for _ in enumerate_avoiders(bounds[:m], pattern))
             for m in range(1, len(bounds) + 1)]
     assert list(state_counts(bounds, pattern)) == want
+    assert list(row_counts(bounds, pattern)) == want
 
 
 def test_counts_at_n_12_and_at_the_edges():
     # The figures the matrix engine gives; the counts are Python ints,
     # which do not wrap.
-    counts = list(state_counts(ordinary_bounds(12), "3201"))
-    assert counts[-2:] == [36944790, 420395292]
-    assert all(type(c) is int for c in counts)
-    assert list(state_counts((), "3201")) == []
-    assert list(state_counts((5,), "0")) == [0]
-    assert list(state_counts((2, 3), "0")) == [0, 0]
+    for engine_counts in (state_counts, row_counts):
+        counts = list(engine_counts(ordinary_bounds(12), "3201"))
+        assert counts[-2:] == [36944790, 420395292]
+        assert all(type(c) is int for c in counts)
+        assert list(engine_counts((), "3201")) == []
+        assert list(engine_counts((5,), "0")) == [0]
+        assert list(engine_counts((2, 3), "0")) == [0, 0]
+
+
+def test_counts_past_64_bits_are_exact():
+    # |I_n(10)| is the Catalan number C_n; C_37 is the first past 2^64, and
+    # the row engine's counts leave uint64 once n! passes it, at n = 21.
+    catalan = [comb(2 * n, n) // (n + 1) for n in range(1, 41)]
+    assert catalan[35] < 1 << 64 < catalan[36]
+    for engine_counts in (state_counts, row_counts):
+        counts = list(engine_counts(ordinary_bounds(40), "10"))
+        assert counts == catalan
+        assert all(type(c) is int for c in counts)
 
 
 def _walk(bounds, pattern):
@@ -145,14 +174,23 @@ def test_state_sizes_per_length():
     assert sizes("1001", 8) == [1, 2, 5, 15, 54, 223, 1028]
 
 
-def test_single_valued_shapes():
-    assert [str(p) for p in canonical_patterns(4) if single_valued(p)] == [
-        "0122", "0123", "0132", "2100", "3201", "3210"]
-    # The closed form agrees with the levels the state keeps.
+def test_row_shapes():
+    # Every pattern of length at most 4 keeps at most two positions on a
+    # level; of the 541 of length 5, 60 keep three on some level, and the
+    # row engine refuses those.
+    fits = {n: [p for p in canonical_patterns(n) if fits_rows(p)] for n in (1, 2, 3, 4, 5)}
+    assert [len(fits[n]) for n in fits] == [1, 3, 13, 75, 481]
     for p in [p for n in (1, 2, 3, 4, 5) for p in canonical_patterns(n)]:
         levels = states._scheme(p.entries)[1:-1]
-        assert single_valued(p) == all(
-            len(level.keep) <= 1 and 0 not in level.signs for level in levels), str(p)
+        assert fits_rows(p) == all(len(level.keep) <= 2 for level in levels), str(p)
+    assert not fits_rows("02413")
+    with pytest.raises(ValueError, match="keeps more than two positions"):
+        list(row_counts((1, 2, 3), "02413"))
+    # A sample of the length-5 patterns that fit, whose three kept levels
+    # take every kind of cell: counts and states agree with the dict engine.
+    bounds = ordinary_bounds(7)
+    for p in fits[5][::8]:
+        _check_both_engines(bounds, p, [E.shape[0] for E in avoider_steps(bounds, p)])
 
 
 def test_reserves_each_step_before_it_allocates(monkeypatch):
@@ -184,6 +222,36 @@ def test_reserves_each_step_before_it_allocates(monkeypatch):
         list(state_counts(ordinary_bounds(9), "1001"))
 
 
+def test_row_steps_reserve_before_they_allocate(monkeypatch):
+    # The prediction, successors x bytes per successor, covers each row
+    # step's traced peak, for sets, pairs, best values and a staircase, at
+    # one word of F and at three; a budget below it refuses the step.
+    for pattern, bounds in [("0021", ordinary_bounds(9)), ("2011", ordinary_bounds(9)),
+                            ("1001", ordinary_bounds(8)), ("0102", (2, 3, 5, 7, 150))]:
+        needs = []
+        monkeypatch.setattr(engine, "_budget", lambda need: needs.append(need) or need)
+        real = states._row_step
+
+        def traced(*args):
+            gc.collect()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = real(*args)
+            assert tracemalloc.get_traced_memory()[1] - base <= needs[-1], (pattern, len(args[0]))
+            return out
+
+        monkeypatch.setattr(states, "_row_step", traced)
+        tracemalloc.start()
+        try:
+            list(row_counts(bounds, pattern))
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(states, "_row_step", real)
+    monkeypatch.setattr(engine, "_budget", lambda need: 10**5)
+    with pytest.raises(MemoryError, match="merging the states of [0-9,]+ sequences of length"):
+        list(row_counts(ordinary_bounds(9), "1001"))
+
+
 # -- the route in engine.count_steps ---------------------------------------
 
 def _refuse(*args):
@@ -191,24 +259,26 @@ def _refuse(*args):
 
 
 def test_deep_3201_count_takes_the_state_route(monkeypatch):
-    # Its last layer, n = 10, has 3,483,636 rows; the states need about
-    # 3,500 units of work, far within 3,483,636 / engine._ROWS_PER_UNIT.
+    # Its last layer, n = 10, has 3,483,636 rows, a budget of 87M units
+    # (engine._UNITS_PER_ROW each); the rows need about 2.4M.
     monkeypatch.setattr(engine, "_count_after", _refuse)
     assert count_vector("3201", 11).counts[-2:] == (3483636, 36944790)
 
 
-def test_deep_staircase_and_tie_counts_stay_on_the_matrix(monkeypatch):
-    # 0021 and 2001 keep "eq" positions and 2011 two positions on a level,
-    # so the state engine is never started for them.
-    monkeypatch.setattr(states, "state_counts", _refuse)
+def test_deep_staircase_and_tie_counts_take_the_row_route(monkeypatch):
+    # 0021 and 2001 keep "eq" positions and 2011 a (hi, lo) staircase; the
+    # row engine counts their last lengths within the budget of the
+    # 359,112 and 342,594 rows of the last layers drawn.
+    monkeypatch.setattr(engine, "_count_after", _refuse)
     assert check_0021_conjecture(11)[0]
     assert first_divergence("2001", "2011", 10) == 10
 
 
 def test_small_and_wide_counts_stay_on_the_matrix(monkeypatch):
     # classify(4, 9)'s jobs and S-equivalence counts over subsets of [8]
-    # have small last layers, and wide bounds barely merge, so the state
-    # engine stops short of its work budget and the matrix counts.
+    # have last layers too small to pay the row engine's fixed units per
+    # length, so it is not started, and wide bounds barely merge, so it
+    # stops short of its work budget; the matrix counts.
     calls = []
     real = engine._count_after
     monkeypatch.setattr(engine, "_count_after", lambda *a: calls.append(a) or real(*a))
@@ -220,19 +290,20 @@ def test_small_and_wide_counts_stay_on_the_matrix(monkeypatch):
         assert count_avoiders(S, "210") == count_avoiders(S, "201")
     assert len(calls) == 2 * len(sets)
     calls.clear()
-    # Its last layer has 1,008,000 rows, and the states about 2.9M
-    # transitions (all of them took 1.2 s, against 0.03 s for the matrix).
+    # Its last layer has 1,008,000 rows, a budget of 25.2M units, and the
+    # rows about 2.9M successors, 150M units: the two engines measured 25
+    # and 29 ms, so the budget leaves close calls to the matrix.
     assert count_avoiders((3, 60, 70, 80, 90), "3201") == 89257095
     assert len(calls) == 1
 
 
 def test_a_state_count_that_differs_from_a_layer_is_refused(monkeypatch):
-    real = states.state_counts
+    real = states.row_counts
 
     def doctored(*args):
         for m, count in enumerate(real(*args), 1):
             yield count + (m == 5)
 
-    monkeypatch.setattr(states, "state_counts", doctored)
+    monkeypatch.setattr(states, "row_counts", doctored)
     with pytest.raises(RuntimeError, match="sequences of length 5, where the layer holds 120"):
         count_vector("3201", 11)
