@@ -30,22 +30,31 @@ def enumerate_avoiders(bounds, pattern):
     does not complete an occurrence (hereditary avoidance justifies never
     revisiting a rejected prefix). The pattern's relation table is looked
     up once and each candidate is checked by `core._completes` directly.
+    The walk keeps one prefix and a stack of the value iterators of its
+    levels, so its depth is not bounded by Python's recursion limit, and
+    each avoider is yielded from the last level without a frame per entry.
     """
     bounds = validate_bounds(bounds)
     rel = _relations(as_pattern(pattern).entries)
+    if not bounds:
+        yield ()
+        return
+    last = len(bounds) - 1
     seq = []
-
-    def rec(i):
-        if i == len(bounds):
-            yield tuple(seq)
-            return
-        for x in range(bounds[i]):
+    stack = [iter(range(bounds[0]))]
+    while stack:
+        i = len(seq)
+        for x in stack[-1]:
             if not _completes(seq, i, x, rel):
-                seq.append(x)
-                yield from rec(i + 1)
-                seq.pop()
-
-    yield from rec(0)
+                if i == last:
+                    yield (*seq, x)
+                else:
+                    seq.append(x)
+                    stack.append(iter(range(bounds[i + 1])))
+                    break
+        else:  # level i is exhausted: back to the value before it
+            stack.pop()
+            del seq[-1:]
 
 
 def count_avoiders(bounds, pattern, engine_name="fast"):

@@ -80,7 +80,7 @@ def _plan(pattern, bounds):
     return _word_plan(as_pattern(pattern).entries, -(-max(bounds, default=1) // _WORD))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=states._KEPT)
 def _word_plan(p, words):
     """(rel, ends, union, words) for pattern entries p at `words` words per row.
 
@@ -99,10 +99,11 @@ def _word_plan(p, words):
     widest value over the matches is np.minimum of starts or np.maximum of
     stops.
 
-    A plan is built once per process for each key and kept: its indices
-    take 8 bytes per word and end, at most 16 per word, which is 8 KB at
-    the bound 32,768 and 33.5 MB at 2^27, for each of up to 64 plans. A
-    plan not yet kept reserves its indices before it builds them.
+    A plan is built once per process for each key and kept, for up to
+    states._KEPT = 128 keys: its indices take 8 bytes per word and end, at
+    most 16 per word, which is 8 KB at the bound 32,768 and 33.5 MB at
+    2^27, so the kept plans hold at most 1 MB resp. 4.3 GB. A plan not yet
+    kept reserves its indices before it builds them.
     """
     k = len(p) - 1
     lo, hi, tie = _ends(p[:-1], p[-1])

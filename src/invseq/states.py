@@ -81,6 +81,10 @@ _MATCH_BYTES = 120
 # 2.4, a 2-core x86-64 box).
 _LENGTH_UNITS = 200_000
 _SUCCESSOR_UNITS = 50
+# The patterns whose schemes, tables and layouts (and engine._word_plan's
+# plans) a process keeps: more than the 75 canonical patterns of length 4,
+# so a serial classify(4, n) builds each of them once.
+_KEPT = 128
 
 
 class _Level(NamedTuple):
@@ -93,7 +97,7 @@ class _Level(NamedTuple):
     build: tuple  # per position kept at level j + 1, its index in keep, or -1 for j
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_KEPT)
 def _scheme(p):
     """The _Level of each j = 0..L-1 for pattern entries p: level 0 is the
     empty match and level L-1 the completed head, which keeps only the
@@ -288,7 +292,7 @@ class _Table(NamedTuple):
     stair: int  # for two "lo"/"hi" positions, the grid position's kind, else 0
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_KEPT)
 def _tables(p):
     """The _Table of each kept level j = 1..L-2 of pattern entries p, or
     None when some level keeps more than two positions."""
@@ -316,7 +320,7 @@ def fits_rows(pattern):
     return _tables(as_pattern(pattern).entries) is not None
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_KEPT)
 def _layout(p, top):
     """(dtype, spans, width, cells) of the state rows of pattern entries p
     below `top`. A row starts with the bits of F, ceil(top / 8) bytes; then

@@ -32,25 +32,39 @@ def iter_trees(n, k=None, root_unbounded=False):
     """The parent sequence of every label-increasing tree on n vertices
     with branching bounded by k (None = unbounded), lexicographically; with
     root_unbounded the root is exempt. The arguments are checked at the
-    call, before the first tree."""
+    call, before the first tree.
+
+    The walk is depth first on an explicit stack, so no n meets Python's
+    recursion limit: entry i takes, in turn, each parent among 0..i that
+    may still take a child (room[p] counts what p may take), and each
+    sequence is yielded from its last entry.
+    """
     n, k = _tree_args(n, k)
-    parents = []
-    counts = [0] * n
+    room = [n if k is None else k] * n
+    if root_unbounded and n:
+        room[0] = n
+    last = n - 2
 
-    def rec(label):
-        if label == n:
-            yield tuple(parents)
-            return
-        for p in range(label):
-            if k is not None and counts[p] >= k and not (root_unbounded and p == 0):
-                continue
-            counts[p] += 1
-            parents.append(p)
-            yield from rec(label + 1)
-            parents.pop()
-            counts[p] -= 1
+    def walk():
+        parents = []
+        stack = [iter(range(1))]
+        while stack:
+            i = len(parents)
+            for p in stack[-1]:
+                if room[p]:
+                    if i == last:
+                        yield (*parents, p)
+                    else:
+                        room[p] -= 1
+                        parents.append(p)
+                        stack.append(iter(range(i + 2)))
+                        break
+            else:  # entry i is exhausted: take back the parent before it
+                stack.pop()
+                if parents:
+                    room[parents.pop()] += 1
 
-    return rec(1) if n else iter(())
+    return walk() if n > 1 else iter([()] * n)  # no tree on 0 vertices, one on 1
 
 
 def count_trees_bruteforce(n, k, root_unbounded=False):

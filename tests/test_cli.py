@@ -126,6 +126,15 @@ class TestTreesAndSeries:
         )
         assert series_count == rows_json(out)[0]["count"]
 
+    def test_bruteforce_trees_past_the_recursion_limit(self, capsys):
+        code, out, _ = run(
+            ["trees", "--n", "1200", "--k", "1", "--oracle", "bruteforce",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert rows_json(out)[0]["count"] == 1
+
     def test_series_table(self, capsys):
         code, out, _ = run(
             ["series", "--kind", "tansec", "--order", "6", "--format", "json"],

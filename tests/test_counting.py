@@ -64,6 +64,11 @@ class TestEnumerate:
     def test_empty_bounds(self):
         assert list(enumerate_avoiders((), (0, 0))) == [()]
 
+    def test_deeper_than_the_recursion_limit(self):
+        # The walk keeps its levels on a list, not on Python frames; only
+        # the all-zero sequence avoids 01.
+        assert count_avoiders(ordinary_bounds(1200), "01", "reference") == 1
+
 
 class TestCount:
     def test_known_small_values(self):

@@ -1,4 +1,6 @@
 import re
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,6 +32,29 @@ class TestLabelTree:
         assert list(iter_trees(n + 1, 2, root_unbounded=True)) == list(
             enumerate_avoiders(ordinary_bounds(n), (0, 1, 1, 1))
         )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, None])
+    @pytest.mark.parametrize("root_unbounded", [False, True])
+    def test_parent_sequences_by_filtering(self, k, root_unbounded):
+        # Every parent sequence, kept when no parent has more than k
+        # children (the root exempt when unbounded), in product's order.
+        for n in range(1, 8):
+            want = []
+            for seq in product(*(range(i + 1) for i in range(n - 1))):
+                children = Counter(seq)
+                if root_unbounded:
+                    children.pop(0, None)
+                if k is None or max(children.values(), default=0) <= k:
+                    want.append(seq)
+            assert list(iter_trees(n, k, root_unbounded)) == want, n
+
+    def test_no_vertex_and_one_vertex(self):
+        assert list(iter_trees(0, 2)) == []
+        assert list(iter_trees(1, 2)) == [()]
+
+    def test_deeper_than_the_recursion_limit(self):
+        # branching <= 1 leaves the one path, 1199 entries deep
+        assert count_trees_bruteforce(1200, 1) == 1
 
 
 class TestCounts:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from invseq import canonical_patterns, classify, count_vector, first_divergence, wilf
+from invseq import engine, states
 from invseq.core import Pattern
 
 
@@ -98,6 +99,16 @@ class TestClassify:
         a = classify(3, 6, threads=1)
         b = classify(3, 6, threads=2)
         assert a == b
+
+    def test_serial_sweep_keeps_every_plan(self):
+        # The plans and state layouts of all 75 length-4 patterns stay kept,
+        # so a second serial sweep in the same process builds none of them.
+        caches = [engine._word_plan, states._scheme, states._tables, states._layout]
+        assert all(c.cache_info().maxsize >= len(canonical_patterns(4)) for c in caches)
+        first = classify(4, 6, threads=1)
+        misses = [c.cache_info().misses for c in caches]
+        assert classify(4, 6, threads=1) == first
+        assert [c.cache_info().misses for c in caches] == misses
 
     def test_patterns_partitioned(self):
         classes = classify(3, 6)
