@@ -8,19 +8,20 @@ from __future__ import annotations
 from collections import Counter
 from math import comb
 
-import numpy as np
-
 from .core import (
     Pattern,
     _completes,
     _integer,
     _integers,
+    _numpy,
     _relations,
     as_pattern,
     ordinary_bounds,
     validate_bounds,
 )
 from . import engine
+
+np = _numpy()
 
 
 def enumerate_avoiders(bounds, pattern):
@@ -124,6 +125,7 @@ def count_binary_avoiders_bruteforce(j, k, pattern):
     oracle for binary_avoider_formula. Words grow one letter at a time and
     a prefix that contains the pattern is never extended (avoidance is
     hereditary under prefixes), so every avoider is reached exactly once.
+    Prefixes wait on one explicit stack, so no recursion limit bounds j + k.
     """
     p = as_pattern(pattern)
     if len(p) < 2 or set(p) - {0, 1} or p.entries.count(0) != 1:
@@ -132,19 +134,18 @@ def count_binary_avoiders_bruteforce(j, k, pattern):
     if j < 0 or k < 0:
         raise ValueError("j and k must be nonnegative")
     rel = _relations(p.entries)
-
-    def rec(word, zeros, ones):
+    total, stack = 0, [((), j, k)]
+    while stack:
+        word, zeros, ones = stack.pop()
         if not zeros and not ones:
-            return 1
-        total = 0
+            total += 1
+            continue
         n = len(word)
         if zeros and not _completes(word, n, 0, rel):
-            total += rec(word + (0,), zeros - 1, ones)
+            stack.append((word + (0,), zeros - 1, ones))
         if ones and not _completes(word, n, 1, rel):
-            total += rec(word + (1,), zeros, ones - 1)
-        return total
-
-    return rec((), j, k)
+            stack.append((word + (1,), zeros, ones - 1))
+    return total
 
 
 def _zero_positions(e):

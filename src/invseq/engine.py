@@ -32,6 +32,8 @@ position enumerates exactly the avoiders.
   before it allocates when they exceed the memory the OS reports
   available (see _budget). A count done in blocks predicts one block's
   arrays, and its refusal names the whole layer.
+- Importing this module does not load numpy (core._numpy): nothing here
+  touches numpy before a call does.
 """
 
 from __future__ import annotations
@@ -42,19 +44,14 @@ from itertools import islice
 from math import comb, prod
 from operator import itemgetter
 
-import numpy as np
-
 from . import states
-from .core import _ends, _relations, as_pattern, validate_bounds
+from .core import _ends, _numpy, _relations, as_pattern, validate_bounds
 
-_INT_DTYPES = [(np.iinfo(dt).max, dt) for dt in (np.int8, np.int16, np.int32)]
+np = _numpy()
 
 _WORD = 64
 # Bit words are little-endian, so their bytes list the values in order.
-_BITS = np.dtype("<u8")
-# _LOW[b] has the bits below b set and _HIGH[b] the others, for 0 <= b <= 64.
-_LOW = np.array([(1 << b) - 1 for b in range(_WORD + 1)], dtype=_BITS)
-_HIGH = ~_LOW
+_BITS = "<u8"
 # Rows per block of a layer whose last step is counted (see _count_after):
 # fewer makes more numpy calls, more holds more bits.
 _BLOCK = 1 << 18
@@ -65,8 +62,17 @@ _UNITS_PER_ROW = 25
 
 
 def _int_dtype(limit):
-    """The narrowest signed integer dtype holding every value in [-limit, limit]."""
-    return next((dt for top, dt in _INT_DTYPES if limit <= top), np.int64)
+    """The narrowest signed integer type holding every value in [-limit, limit]."""
+    bits = next((b for b in (8, 16, 32) if limit < 1 << b - 1), 64)
+    return getattr(np, f"int{bits}")
+
+
+@lru_cache(maxsize=None)
+def _masks():
+    """(high, low) bit words: low[b] has the bits below b set and high[b]
+    the others, for 0 <= b <= 64. Built on first use, which loads numpy."""
+    low = np.array([(1 << b) - 1 for b in range(_WORD + 1)], dtype=_BITS)
+    return ~low, low
 
 
 def _dtype_for(bounds):
@@ -117,7 +123,7 @@ def _word_plan(p, words):
     if start and stop and (start[0] == k - 1) != (stop[0] == k - 1):
         vary = 1 if start[0] == k - 1 else 0
         union = vary, (np.minimum, np.maximum)[vary]
-    ends = [(end, table) for end, table in zip((start, stop), (_HIGH, _LOW)) if end]
+    ends = [(end, table) for end, table in zip((start, stop), _masks()) if end]
     _reserve(8 * words * len(ends), "indexing the forbidden values below {:,}",
              _WORD * words)
     # Word w holds the values 64w..64w+63; clipping the index to 0..64
@@ -277,7 +283,7 @@ def _forbidden(E, plan, parent=None, layer_rows=None):
     _reserve(rows * per_row, "finding the values forbidden after {:,} rows of length {}",
              layer_rows or rows, m)
     if not k:  # a one-letter pattern: every value completes it
-        return np.full((rows, words), _LOW[-1], dtype=_BITS)
+        return np.full((rows, words), (1 << _WORD) - 1, dtype=_BITS)
     bits = (np.zeros((rows, words), dtype=_BITS) if parent is None
             else parent[0].repeat(parent[1], axis=0))
     if m:
@@ -310,12 +316,13 @@ def _grow(E, s, forbidden):
 def _children(forbidden, s):
     """Per row, the values below s whose forbidden bits are clear."""
     full, rest = divmod(s, _WORD)
+    low = _masks()[1][rest]
     if full:
         taken = np.bitwise_count(forbidden[:, :full]).sum(axis=1, dtype=np.intp)
         if rest:
-            taken += np.bitwise_count(forbidden[:, full] & _LOW[rest])
+            taken += np.bitwise_count(forbidden[:, full] & low)
     else:  # one word, counted in bytes
-        taken = np.bitwise_count(forbidden[:, 0] & _LOW[rest])
+        taken = np.bitwise_count(forbidden[:, 0] & low)
     return np.subtract(s, taken, out=taken)
 
 
@@ -382,7 +389,7 @@ def _parent_bits(E, edges, width, words):
     del shift
     # Where a child ends in width - 1, the parent also takes every larger value.
     w, b = divmod(width - 1, _WORD)
-    high = _HIGH.take(np.arange(width, width - _WORD * words, -_WORD), mode="clip")
+    high = _masks()[0].take(np.arange(width, width - _WORD * words, -_WORD), mode="clip")
     free |= (free[:, w:w + 1] >> b) * high
     np.invert(free, out=free)
     return free, edges[1:] - edges[:-1]

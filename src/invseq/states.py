@@ -59,12 +59,12 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-import numpy as np
-
 # engine imports this module for its route, so its memory guard is looked
 # up on the module at call time.
 from . import engine
-from .core import _ends, as_pattern, validate_bounds
+from .core import _ends, _numpy, as_pattern, validate_bounds
+
+np = _numpy()
 
 # Bytes a successor state may take, beyond its F (about top / 7.5 bytes):
 # its dict slot, key, frontier tuples and count, and per kept match its
@@ -378,7 +378,8 @@ def _span(a, b, w, words):
     a, b = a - 64 * w, b + 1 - 64 * w
     if words > 1:
         a, b = np.clip(a, 0, 64), np.clip(b, 0, 64)
-    return engine._HIGH[a] & engine._LOW[b]
+    high, low = engine._masks()
+    return high[a] & low[b]
 
 
 def _row_start(p, top):

@@ -200,6 +200,13 @@ class TestBinaryFormula:
         # C(3 + min(4, 2), 3) = 10
         assert count_binary_avoiders_bruteforce(3, 4, (1, 0, 1, 1)) == 10
 
+    @pytest.mark.parametrize("j, k, p", [(0, 1200, "01"), (1200, 0, "01"), (3, 1200, "110")])
+    def test_deeper_than_the_recursion_limit(self, j, k, p):
+        # The words wait on a list, not on Python frames. 110 stands for the
+        # length-3 patterns: at 1200 ones, 101's head search costs each
+        # prefix a quadratic scan, about 80 s in all.
+        assert count_binary_avoiders_bruteforce(j, k, p) == binary_avoider_formula(j, k, len(p))
+
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValueError):
             count_binary_avoiders_bruteforce(-1, 0, (0, 1))

@@ -11,6 +11,93 @@ from invseq import engine, states
 from invseq.core import Pattern
 
 
+def _fresh(code):
+    """What `code` prints, run in a fresh interpreter that imports invseq
+    from this checkout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+# True once numpy is really loaded: not before its import, and not while
+# sys.modules holds the module that loads it at its first attribute access.
+NUMPY_LOADED = "type(sys.modules.get('numpy')) is type(sys)"
+
+
+class TestNumpyOnFirstUse:
+    # pytest's own process has numpy loaded, so each test runs in a fresh one.
+    def test_import_leaves_numpy_unloaded(self):
+        assert _fresh(f"import sys, invseq, invseq.cli; print({NUMPY_LOADED})") == "False"
+
+    def test_numpy_free_oracles_leave_it_unloaded(self):
+        code = f"""if True:
+            import sys
+            from invseq import bijections, series, trees
+            assert trees.count_trees_bounded(8, 2) == 1385
+            assert series.euler_numbers(8)[-1] == 1385
+            assert bijections.map_3210_to_3201((0, 1, 2, 3, 2, 0, 1)) == (0, 1, 2, 3, 2, 1, 0)
+            print({NUMPY_LOADED})"""
+        assert _fresh(code) == "False"
+
+    def test_a_count_loads_it(self):
+        code = f"import sys, invseq; invseq.count_vector('3201', 6); print({NUMPY_LOADED})"
+        assert _fresh(code) == "True"
+
+    def test_threads_that_load_it_together_wait_for_one_load(self):
+        # With importlib.util.LazyLoader on Python 3.11 a second thread saw
+        # numpy half run and raised AttributeError.
+        code = """if True:
+            import threading, invseq
+            start, got = threading.Barrier(4), []
+
+            def count():
+                start.wait()
+                try:
+                    got.append(invseq.count_vector("3201", 6).counts[-1])
+                except Exception as ex:
+                    got.append(repr(ex))
+
+            threads = [threading.Thread(target=count, daemon=True) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            print(not any(t.is_alive() for t in threads), got)"""
+        assert _fresh(code) == "True [720, 720, 720, 720]"
+
+    def test_classify_loads_it_before_the_pool(self):
+        # The forked workers inherit what the parent loaded, so none of them
+        # imports numpy again.
+        code = f"""if True:
+            import concurrent.futures, os, sys
+            import invseq
+            loaded = []
+
+            class Pool(concurrent.futures.ProcessPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    loaded.append({NUMPY_LOADED})
+                    super().__init__(*args, **kwargs)
+
+            concurrent.futures.ProcessPoolExecutor = Pool
+            os.cpu_count = lambda: 2
+            invseq.classify(3, 5, threads=2)
+            print(loaded)"""
+        assert _fresh(code) == "[True]"
+
+    def test_missing_numpy_fails_the_import(self):
+        code = """if True:
+            import sys
+            sys.modules["numpy"] = None
+            try:
+                import invseq
+            except ImportError as ex:
+                print(ex.name)"""
+        assert _fresh(code) == "numpy"
+
+
 class TestCanonicalPatterns:
     def test_counts(self):
         # ordered set partitions of {1..n} (Fubini numbers)
@@ -83,13 +170,7 @@ class TestClassify:
 
     def test_import_leaves_the_pool_unloaded(self):
         # multiprocessing is loaded only when classify starts a pool.
-        code = "import sys, invseq; print('multiprocessing' in sys.modules)"
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert _fresh("import sys, invseq; print('multiprocessing' in sys.modules)") == "False"
 
     def test_threads_below_one_refused(self):
         with pytest.raises(ValueError, match="threads"):
