@@ -7,44 +7,25 @@ All sequences are plain tuples of nonnegative integers; positions are
 from __future__ import annotations
 
 import importlib.util
-import sys
-import threading
-import types
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import ge, index
 
-_LOADING = threading.RLock()  # reentrant: running the module reads it
 
+class _Numpy:
+    """numpy, imported at the first name looked up, which then stays on the
+    instance; importlib's module lock makes other threads wait for it."""
 
-class _LazyModule(types.ModuleType):
-    """A module whose code runs at its first attribute access, in one thread
-    while any other waits. (importlib.util.LazyLoader before Python 3.12 lets
-    a second thread see the module half run.)"""
-
-    def __getattribute__(self, name):
-        spec = types.ModuleType.__getattribute__(self, "__spec__")
-        with _LOADING:
-            if type(self) is _LazyModule and not getattr(spec, "_initializing", False):
-                spec._initializing = True
-                try:
-                    spec.loader.exec_module(self)
-                finally:
-                    spec._initializing = False
-                self.__class__ = types.ModuleType
-        return types.ModuleType.__getattribute__(self, name)
+    def __getattr__(self, name):
+        import numpy
+        return self.__dict__.setdefault(name, getattr(numpy, name))
 
 
 def _numpy():
-    """numpy, loaded already or else at its first attribute access, so the parts
-    of invseq that never count start without it; a missing numpy raises here."""
-    if sys.modules.get("numpy") is None:
-        spec = importlib.util.find_spec("numpy")
-        if spec is None:
-            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-        sys.modules["numpy"] = importlib.util.module_from_spec(spec)
-        sys.modules["numpy"].__class__ = _LazyModule
-    return sys.modules["numpy"]
+    """The numpy stand-in; a missing numpy raises here, at import."""
+    if importlib.util.find_spec("numpy") is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    return _Numpy()
 
 
 def _cmp(x, y):

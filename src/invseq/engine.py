@@ -32,8 +32,7 @@ position enumerates exactly the avoiders.
   before it allocates when they exceed the memory the OS reports
   available (see _budget). A count done in blocks predicts one block's
   arrays, and its refusal names the whole layer.
-- Importing this module does not load numpy (core._numpy): nothing here
-  touches numpy before a call does.
+- Importing this module does not load numpy; its first call does (core._numpy).
 """
 
 from __future__ import annotations
@@ -316,13 +315,12 @@ def _grow(E, s, forbidden):
 def _children(forbidden, s):
     """Per row, the values below s whose forbidden bits are clear."""
     full, rest = divmod(s, _WORD)
-    low = _masks()[1][rest]
     if full:
         taken = np.bitwise_count(forbidden[:, :full]).sum(axis=1, dtype=np.intp)
         if rest:
-            taken += np.bitwise_count(forbidden[:, full] & low)
+            taken += np.bitwise_count(forbidden[:, full] & _masks()[1][rest])
     else:  # one word, counted in bytes
-        taken = np.bitwise_count(forbidden[:, 0] & low)
+        taken = np.bitwise_count(forbidden[:, 0] & _masks()[1][rest])
     return np.subtract(s, taken, out=taken)
 
 

@@ -58,7 +58,7 @@ def classify(length, n_max, threads=os.cpu_count() or 1):
     workers = min(threads, os.cpu_count() or 1, len(patterns))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        engine._masks()  # loads numpy here, so the forked workers need not each load it
+        import numpy  # noqa: F401  the forked workers inherit it, so none imports it again
         with ProcessPoolExecutor(max_workers=workers) as pool:
             vectors = list(pool.map(count_vector, patterns, repeat(n_max)))
     else:

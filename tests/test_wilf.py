@@ -22,9 +22,7 @@ def _fresh(code):
     return out.stdout.strip()
 
 
-# True once numpy is really loaded: not before its import, and not while
-# sys.modules holds the module that loads it at its first attribute access.
-NUMPY_LOADED = "type(sys.modules.get('numpy')) is type(sys)"
+NUMPY_LOADED = "'numpy' in sys.modules"
 
 
 class TestNumpyOnFirstUse:
@@ -47,10 +45,11 @@ class TestNumpyOnFirstUse:
         assert _fresh(code) == "True"
 
     def test_threads_that_load_it_together_wait_for_one_load(self):
-        # With importlib.util.LazyLoader on Python 3.11 a second thread saw
-        # numpy half run and raised AttributeError.
+        # A thread that looks up a name while another imports numpy waits
+        # for the import rather than seeing numpy half run.
         code = """if True:
-            import threading, invseq
+            import sys, threading, invseq
+            sys.setswitchinterval(1e-6)  # switch threads as often as possible
             start, got = threading.Barrier(4), []
 
             def count():
