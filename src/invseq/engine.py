@@ -138,6 +138,8 @@ def _word_plan(p, words):
 # since it (see _budget). A forked child has made no request yet, but its
 # parent's reading is shared with every other child, so it reads its own.
 _slack = 0
+# The processes counting at once, which share the free memory (see _budget).
+_sharers = 1
 
 
 def _forget_reading():
@@ -148,6 +150,17 @@ def _forget_reading():
 os.register_at_fork(after_in_child=_forget_reading)
 
 
+def _share_memory(processes):
+    """Give this process, and the children it forks from now on, 1/processes
+    of every later reading of free memory; return the previous divisor.
+
+    The last reading is dropped, since it was not divided the same way.
+    """
+    global _sharers, _slack
+    previous, _sharers, _slack = _sharers, processes, 0
+    return previous
+
+
 def _budget(need):
     """Bytes of memory available to a request of `need` bytes.
 
@@ -156,16 +169,17 @@ def _budget(need):
     what this process can have taken since, whatever it gave back. Otherwise
     it reads the free memory, or, once `need` exceeds that, MemAvailable,
     which also counts the page cache the kernel can drop but costs a file
-    read.
+    read. Either reading is divided by the processes that count at once
+    (see _share_memory).
     """
     global _slack
     budget = _slack
     if need > budget:
-        budget = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        budget = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // _sharers
         if need > budget:
             try:
                 with open("/proc/meminfo", encoding="ascii") as fh:
-                    budget = next((int(line.split()[1]) * 1024 for line in fh
+                    budget = next((int(line.split()[1]) * 1024 // _sharers for line in fh
                                    if line.startswith("MemAvailable:")), budget)
             except OSError:
                 pass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 
 from .core import Pattern, _integer, as_pattern, ordinary_bounds
 from . import engine
@@ -46,32 +46,100 @@ def count_vector(pattern, n_max):
 def classify(length, n_max, threads=os.cpu_count() or 1):
     """Partition canonical patterns of the given length by count vector.
 
-    Runs min(threads, CPU count, number of patterns) worker processes, or
-    none when that is 1. Classes are returned sorted by their
-    lexicographically smallest pattern; the partition is independent of
-    input order and worker count.
+    Counts in min(threads, CPU count, number of patterns) processes: this
+    one and workers - 1 forked children (see _split), or this one alone when
+    that number is 1 or the platform cannot fork. While they count, each
+    process gets an equal share of the free memory for its steps. Classes
+    are returned sorted by their lexicographically smallest pattern; the
+    partition is independent of input order and worker count.
     """
     threads = _integer(threads, "threads")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     patterns = canonical_patterns(length)
-    workers = min(threads, os.cpu_count() or 1, len(patterns))
+    workers = min(threads, os.cpu_count() or 1, len(patterns)) if hasattr(os, "fork") else 1
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        import numpy  # noqa: F401  the forked workers inherit it, so none imports it again
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            vectors = list(pool.map(count_vector, patterns, repeat(n_max)))
+        counts = _split(patterns, n_max, workers)
     else:
-        vectors = list(map(count_vector, patterns, repeat(n_max)))
+        counts = [count_vector(p, n_max).counts for p in patterns]
     by_counts = {}
-    for v in vectors:
-        by_counts.setdefault(v.counts, []).append(v.pattern)
+    for p, c in zip(patterns, counts):
+        by_counts.setdefault(c, []).append(p)
     classes = [
-        WilfClass(tuple(sorted(ps, key=lambda q: q.entries)), counts)
-        for counts, ps in by_counts.items()
+        WilfClass(tuple(sorted(ps, key=lambda q: q.entries)), c)
+        for c, ps in by_counts.items()
     ]
     classes.sort(key=lambda c: c.patterns[0].entries)
     return classes
+
+
+def _split(patterns, n_max, workers):
+    """The count tuples of `patterns`, counted in `workers` processes.
+
+    Child i counts patterns[i::workers] and sends its counts, or the
+    exception it raised, pickled through a pipe; this process counts
+    patterns[0::workers] meanwhile. It reads each pipe to its end before it
+    reaps that child, so no child blocks on a full pipe, and re-raises a
+    child's exception. Whatever it raises, no child outlives the call:
+    those not yet reaped are killed and reaped.
+    """
+    import pickle
+    import signal
+    import numpy  # noqa: F401  the children inherit it, so none imports it again
+
+    counts = [None] * len(patterns)
+    pipes, pids, reaped = [], [], 0
+    previous = engine._share_memory(workers)
+    try:
+        for i in range(1, workers):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if not pid:
+                    _child(w, patterns[i::workers], n_max)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        counts[0::workers] = [count_vector(p, n_max).counts for p in patterns[0::workers]]
+        for i, (r, pid) in enumerate(zip(pipes, pids), start=1):
+            data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            reaped = i
+            if not data:
+                raise ChildProcessError(f"a classify worker exited with code "
+                                        f"{os.waitstatus_to_exitcode(status)} and sent no counts")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            counts[i::workers] = result
+    finally:
+        engine._share_memory(previous)
+        for pid in pids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for r in pipes:
+            os.close(r)
+    return counts
+
+
+def _child(w, share, n_max):
+    """Count `share` in a forked child, write the pickled (ok, counts or
+    exception) to the pipe end `w` and leave without returning."""
+    status = 1
+    try:
+        import pickle
+
+        try:
+            result = True, [count_vector(p, n_max).counts for p in share]
+        except BaseException as ex:  # sent to the parent, which raises it
+            result = False, ex
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def first_divergence(p, q, n_max):

@@ -1,7 +1,7 @@
-import concurrent.futures
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -68,19 +68,13 @@ class TestNumpyOnFirstUse:
         assert _fresh(code) == "True [720, 720, 720, 720]"
 
     def test_classify_loads_it_before_the_pool(self):
-        # The forked workers inherit what the parent loaded, so none of them
+        # The forked children inherit what the parent loaded, so none of them
         # imports numpy again.
         code = f"""if True:
-            import concurrent.futures, os, sys
+            import os, sys
             import invseq
             loaded = []
-
-            class Pool(concurrent.futures.ProcessPoolExecutor):
-                def __init__(self, *args, **kwargs):
-                    loaded.append({NUMPY_LOADED})
-                    super().__init__(*args, **kwargs)
-
-            concurrent.futures.ProcessPoolExecutor = Pool
+            os.register_at_fork(before=lambda: loaded.append({NUMPY_LOADED}))
             os.cpu_count = lambda: 2
             invseq.classify(3, 5, threads=2)
             print(loaded)"""
@@ -141,44 +135,70 @@ class TestClassify:
     def test_length_three_class_count(self):
         assert len(classify(3, 7)) == 11
 
-    def test_workers_capped_by_cpus_and_patterns(self, monkeypatch):
-        # A stand-in pool that records its size and maps serially, so no
-        # worker process is started.
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        # classify imports the pool class from concurrent.futures when it runs.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        serial = classify(2, 3, threads=1)
-        assert asked == []
-        assert classify(2, 3, threads=64) == serial
-        assert classify(2, 3) == serial  # the default, as the CLI runs it
+    def test_workers_capped_by_cpus_and_patterns(self):
+        # Every worker past the calling process is a forked child.
+        code = """if True:
+            import os, invseq
+            forks = []
+            os.register_at_fork(before=lambda: forks.append(1))
+            serial = invseq.classify(2, 3, threads=1)
+            counted = [len(forks)]
+            same = invseq.classify(2, 3, threads=64) == serial
+            counted.append(len(forks) - counted[0])
+            same &= invseq.classify(2, 3) == serial  # the default, as the CLI runs it
+            counted.append(len(forks) - sum(counted))
+            print(same, counted)"""
         cap = min(64, os.cpu_count() or 1, 3)
-        assert asked == ([cap, cap] if cap > 1 else [])
+        assert _fresh(code) == f"True {[0, cap - 1, cap - 1]}"
 
     def test_import_leaves_the_pool_unloaded(self):
-        # multiprocessing is loaded only when classify starts a pool.
-        assert _fresh("import sys, invseq; print('multiprocessing' in sys.modules)") == "False"
+        # What only a split classify needs is loaded when it runs.
+        code = """if True:
+            import sys, invseq, invseq.cli
+            print([m for m in ("multiprocessing", "concurrent.futures", "pickle")
+                   if m in sys.modules])"""
+        assert _fresh(code) == "[]"
+
+    def test_split_shares_the_free_memory(self):
+        # 1,024,000,000 bytes are free. A job needing 0.6 of them fits in one
+        # process but not in either half of a two-process split, and the
+        # calling process gets the whole of each reading back after it.
+        code = """if True:
+            import io, os
+            from invseq import classify, engine, wilf
+            free = 1_024_000_000
+            os.sysconf = lambda name: free if name == "SC_AVPHYS_PAGES" else 1
+            engine.open = lambda *args, **kwargs: io.StringIO(
+                f"MemAvailable: {free // 1024} kB")
+            os.cpu_count = lambda: 2
+            count = wilf.count_vector
+
+            def job(p, n_max):
+                if str(p) == big:
+                    engine._reserve(free * 6 // 10, "job {}", p)
+                return count(p, n_max)
+
+            wilf.count_vector = job
+            for big in ("01", "10"):  # in the child's share, in the caller's
+                try:
+                    classify(2, 3, threads=2)
+                except MemoryError as ex:
+                    print(ex)
+                print(len(classify(2, 3, threads=1)), engine._sharers)"""
+        refused = ("job {} needs about 614,465,536 bytes of memory; "
+                   "512,000,000 bytes are available")
+        assert _fresh(code).splitlines() == [
+            refused.format("01"), "2 1", refused.format("10"), "2 1"]
 
     def test_threads_below_one_refused(self):
         with pytest.raises(ValueError, match="threads"):
             classify(2, 3, threads=0)
 
-    def test_threads_do_not_change_partition(self):
-        a = classify(3, 6, threads=1)
-        b = classify(3, 6, threads=2)
-        assert a == b
+    def test_threads_do_not_change_partition(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert classify(3, 6, threads=2) == classify(3, 6, threads=1)
+        # All 75 length-4 patterns go through the split and back into classes.
+        assert classify(4, 7, threads=2) == classify(4, 7, threads=1)
 
     def test_serial_sweep_keeps_every_plan(self):
         # The plans and state layouts of all 75 length-4 patterns stay kept,
@@ -195,6 +215,64 @@ class TestClassify:
         seen = [p for c in classes for p in c.patterns]
         assert sorted(seen, key=lambda p: p.entries) == canonical_patterns(3)
         assert len(seen) == len(set(seen))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplit:
+    # On two CPUs the length-2 patterns 00, 01 and 10 are split between two
+    # processes: the calling one counts 00 and 10, its one child 01.
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    @pytest.fixture
+    def fail_at(self, monkeypatch):
+        """Make count_vector raise for the pattern given; return the
+        exception's message."""
+        count = wilf.count_vector
+
+        def fail_at(word, child_sleeps=False):
+            parent = os.getpid()
+
+            def failing(p, n_max):
+                if child_sleeps and os.getpid() != parent:
+                    time.sleep(60)  # until the parent kills it
+                if str(p) == word:
+                    raise ArithmeticError(f"no count for {p}")
+                return count(p, n_max)
+
+            monkeypatch.setattr(wilf, "count_vector", failing)
+            return f"^no count for {word}$"
+
+        return fail_at
+
+    def test_success_leaves_no_child(self):
+        assert classify(2, 3, threads=2) == classify(2, 3, threads=1)
+        _no_child_left()
+
+    def test_child_failure_raised_in_the_caller(self, fail_at):
+        with pytest.raises(ArithmeticError, match=fail_at("01")):
+            classify(2, 3, threads=2)
+        _no_child_left()
+
+    def test_caller_failure_kills_the_child(self, fail_at):
+        start = time.monotonic()
+        with pytest.raises(ArithmeticError, match=fail_at("10", child_sleeps=True)):
+            classify(2, 3, threads=2)
+        assert time.monotonic() - start < 30  # the child did not sleep its 60 s out
+        _no_child_left()
+
+    def test_child_that_sends_nothing_reported(self, monkeypatch):
+        count, parent = wilf.count_vector, os.getpid()
+        monkeypatch.setattr(wilf, "count_vector", lambda p, n_max: (
+            count(p, n_max) if os.getpid() == parent else os._exit(3)))
+        with pytest.raises(ChildProcessError, match="exited with code 3 and sent no counts"):
+            classify(2, 3, threads=2)
+        _no_child_left()
 
 
 @pytest.mark.parametrize("count", [
