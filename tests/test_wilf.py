@@ -254,6 +254,11 @@ class TestSplit:
         assert classify(2, 3, threads=2) == classify(2, 3, threads=1)
         _no_child_left()
 
+    def test_counts_alone_where_the_platform_cannot_fork(self, monkeypatch):
+        serial = classify(2, 3, threads=1)
+        monkeypatch.delattr(os, "fork")
+        assert classify(2, 3, threads=2) == serial
+
     def test_child_failure_raised_in_the_caller(self, fail_at):
         with pytest.raises(ArithmeticError, match=fail_at("01")):
             classify(2, 3, threads=2)
