@@ -21,6 +21,17 @@ position enumerates exactly the avoiders.
 - A grown row starts from its parent's bits, which hold every occurrence
   ending before its last column, so a step tests only the matches ending
   there. The first step, at the pattern's length, starts from clear bits.
+- A step writes the layer it grows with one np.repeat (see _write). Rows
+  are in lexicographic order, so column j of a layer is the last column
+  of the layer of length j + 1 with each entry repeated once per
+  descendant. Each step keeps those columns end to end, with the first
+  row of every entry's descendants (the layer's runs, see _runs), and
+  maps the first rows through the cumulative child counts; their
+  differences are the repeat counts. A layer of fewer than _RUN_ROWS rows,
+  where those fixed numpy calls cost more, repeats its rows instead and
+  keeps no runs. Either way the new column is written into the layer in
+  blocks of at most _CANDIDATES candidates, so a step makes a fixed number
+  of numpy calls per block, however long its rows.
 - What a step reads of the pattern (_word_plan) is built once per pattern
   and words per row, and kept.
 - A count never builds its last layer: it is rows × s minus the set bits
@@ -58,6 +69,13 @@ _BLOCK = 1 << 18
 # much time as one row of the matrix's last count (see _merged_count),
 # measured where the two cross.
 _UNITS_PER_ROW = 25
+# Rows of a layer from which a growth step writes the next one as one
+# repeat of its runs (see _write) rather than of its rows, measured where
+# the two cross.
+_RUN_ROWS = 1 << 10
+# Candidates (rows times the bound) per block of a new column (see
+# _write_column): fewer makes more numpy calls, more holds more flags.
+_CANDIDATES = 1 << 16
 
 
 def _int_dtype(limit):
@@ -304,37 +322,137 @@ def _forbidden(E, plan, parent=None, layer_rows=None):
     return bits
 
 
-def _grow(E, s, forbidden):
-    """(next layer, children per row of E): each row of E followed by each
-    value below s not forbidden.
+def _runs(E):
+    """The runs of layer E: (values, firsts) of every column but the last,
+    end to end, each column followed by one junction entry.
+
+    Rows are in lexicographic order, so column j of E is the last column of
+    the layer of length j + 1 with each entry repeated once per descendant
+    in E. values holds those entries and firsts, for each, the first row of
+    its descendants in E; a junction's first is len(E) and its value is
+    never written (see _write). Found here from E's columns, one prefix at
+    a time, so the entries without descendants, which write nothing, are
+    left out.
+    """
+    rows, m = E.shape
+    # Per column a flag, a comparison and the starts with their values,
+    # then every column's starts and values again, joined.
+    _reserve(rows * (2 + 2 * (m - 1) * (8 + E.itemsize)),
+             "finding the runs of {:,} rows of length {}", rows, m)
+    values, firsts = [np.empty(0, E.dtype)], [np.empty(0, np.intp)]
+    junction, end = np.zeros(1, E.dtype), np.full(1, rows, np.intp)
+    new = np.ones(rows, dtype=bool)
+    new[1:] = False
+    for col in E.T[:-1]:
+        new[1:] |= col[1:] != col[:-1]
+        starts = new.nonzero()[0]
+        values += col[starts], junction
+        firsts += starts, end
+    return np.concatenate(values), np.concatenate(firsts)
+
+
+def _later(counts, firsts=()):
+    """firsts mapped to the next layer, whose rows number counts[i] children
+    of row i, then the first child of each row and their total."""
+    h = len(firsts)
+    later = np.empty(h + len(counts) + 1, dtype=np.intp)
+    ends = later[h:]
+    ends[0] = 0
+    np.cumsum(counts, out=ends[1:])
+    if h:  # firsts lie in 0..len(counts), so clipping moves none and spares a buffer
+        np.take(ends, firsts, out=later[:h], mode="clip")
+    return later
+
+
+def _write_column(out, forbidden, s, ends):
+    """Write into `out` the last entries of each row's children: the values
+    below s whose forbidden bits are clear, row by row. Rows go in blocks of
+    at most _CANDIDATES // s rows (at least one), rows [a, b) to
+    out[ends[a]:ends[b]], ends being the first child of each row and their
+    total (see _later), which may be None where one block takes every row.
+    """
+    rows = len(forbidden)
+    step = max(1, _CANDIDATES // s)
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        keep = np.unpackbits(forbidden[a:b].view(np.uint8), axis=1, count=s,
+                             bitorder="little").view(bool)
+        np.logical_not(keep, out=keep)
+        column = np.arange(s, dtype=out.dtype)[None].repeat(b - a, 0)[keep]
+        if ends is None:
+            out[:] = column
+        else:
+            out[ends[a]:ends[b]] = column
+
+
+def _write(E, s, forbidden, runs):
+    """(next layer, children per row of E, its runs): each row of E followed
+    by each value below s not forbidden. runs are E's (see _runs), or None.
+
+    From the empty layer, and from fewer than _RUN_ROWS rows, E's columns
+    and a spare one for the new column, held as rows, are repeated along
+    each row once per child, and no runs are kept. Otherwise E's runs, found
+    from its columns where None, give the layer in one repeat: each entry
+    of values repeats by the difference between its first row, mapped to
+    the next layer, and the next entry's; a junction's difference is
+    negative and clipped to 0. The last junction repeats once per row of
+    the next layer, and the new column is written over those entries, so
+    the repeat's buffer, reshaped, is the layer, column-major. The repeat
+    counts' tail is the children per row of E, which are returned.
 
     Lexicographic order, column-major storage and E's dtype carry over.
     """
     rows, m = E.shape
-    # The keep flags, each row's child count, the new layer at its bound of
-    # s children per row, one column in flight and every row's s candidates.
-    _reserve(rows * (s * (1 + (m + 3) * E.itemsize) + 8),
+    runs = None if rows < _RUN_ROWS or not m else runs or _runs(E)
+    n = len(runs[0]) + rows + 1 if runs else rows + 1
+    # The layer, at its bound of s children per row, and one block's keep
+    # flags, candidates and new entries; the children and first children
+    # per row; and the values repeated: E's runs or its rows and a spare.
+    block = min(rows * s, max(s, _CANDIDATES))
+    _reserve(rows * s * (m + 1) * E.itemsize + block * (1 + 2 * E.itemsize) + 16 * n
+             + (n if runs else rows * (m + 1)) * E.itemsize,
              "growing {:,} rows of length {} by one", rows, m)
-    keep = np.unpackbits(forbidden.view(np.uint8), axis=1, count=s,
-                         bitorder="little").view(bool)
-    np.logical_not(keep, out=keep)
-    counts = _children(forbidden, s)
-    out = np.empty((int(counts.sum()), m + 1), dtype=E.dtype, order="F")
-    for j in range(m):
-        out[:, j] = E[:, j].repeat(counts)
-    out[:, m] = np.arange(s, dtype=E.dtype)[None].repeat(rows, 0)[keep]
-    return out, counts
+    if not runs:
+        counts = _children(forbidden, s)
+        ends = _later(counts) if rows * s > _CANDIDATES else None
+        # E's columns as rows, and a spare row for the new column.
+        spare = np.empty((m + 1, rows), dtype=E.dtype)
+        spare[:m] = E.T
+        out = spare.repeat(counts, axis=1)
+        _write_column(out[m], forbidden, s, ends)
+        return out.T, counts, None
+    head, firsts = runs
+    h = len(head)
+    repeats = np.empty(n, dtype=np.intp)
+    counts = _children(forbidden, s, out=repeats[h:-1])
+    later = _later(counts, firsts)
+    np.subtract(later[1:h + 1], later[:h], out=repeats[:h])
+    np.maximum(repeats[:h], 0, out=repeats[:h])
+    size = repeats[-1] = int(later[-1])
+    values = np.empty(n, dtype=E.dtype)
+    values[:h] = head
+    values[h:-1] = E[:, -1]
+    values[-1] = 0
+    out = values.repeat(repeats)
+    _write_column(out[m * size:], forbidden, s, later[h:])
+    return out.reshape(m + 1, size).T, counts, (values, later)
 
 
-def _children(forbidden, s):
-    """Per row, the values below s whose forbidden bits are clear."""
+def _grow(E, s, forbidden):
+    """(next layer, children per row of E): one step of _write, from no runs."""
+    return _write(E, s, forbidden, None)[:2]
+
+
+def _children(forbidden, s, out=None):
+    """Per row, the values below s whose forbidden bits are clear, in `out`
+    if given."""
     full, rest = divmod(s, _WORD)
     if full:
-        taken = np.bitwise_count(forbidden[:, :full]).sum(axis=1, dtype=np.intp)
+        taken = np.bitwise_count(forbidden[:, :full]).sum(axis=1, dtype=np.intp, out=out)
         if rest:
             taken += np.bitwise_count(forbidden[:, full] & _masks()[1][rest])
     else:  # one word, counted in bytes
-        taken = np.bitwise_count(forbidden[:, 0] & _masks()[1][rest])
+        taken = np.bitwise_count(forbidden[:, 0] & _masks()[1][rest], out=out)
     return np.subtract(s, taken, out=taken)
 
 
@@ -429,13 +547,13 @@ def avoider_steps(bounds, pattern):
     """
     bounds = validate_bounds(bounds)
     plan = _plan(pattern, bounds)
-    E, parent = _empty_layer(bounds), None
+    E, parent, runs = _empty_layer(bounds), None, None
     for m in range(1, min(len(plan[0]), len(bounds)) + 1):
         E = _product(bounds[:m], E.dtype)
         yield E
     for s in bounds[E.shape[1]:]:
         forbidden = _forbidden(E, plan, parent)
-        E, counts = _grow(E, s, forbidden)
+        E, counts, runs = _write(E, s, forbidden, runs)
         parent = forbidden, counts
         yield E
 
@@ -503,15 +621,15 @@ def subset_total(ground, pattern):
         return 1
     plan = _plan(pattern, ground)
 
-    def walk(E, lo, parent=None):
+    def walk(E, lo, runs, parent=None):
         forbidden = _forbidden(E, plan, parent)
         total = E.shape[0] + _count_next(forbidden, ground[-1])
         for i in range(lo, len(ground) - 1):
-            child, counts = _grow(E, ground[i], forbidden)
-            total += walk(child, i + 1, (forbidden, counts))
+            child, counts, child_runs = _write(E, ground[i], forbidden, runs)
+            total += walk(child, i + 1, child_runs, (forbidden, counts))
         return total
 
-    return walk(_empty_layer(ground), 0)
+    return walk(_empty_layer(ground), 0, None)
 
 
 def avoider_matrix(bounds, pattern):

@@ -274,7 +274,8 @@ def state_counts(bounds, pattern):
         successors = sum(f for f, _ in free)
         matches = max((sum(map(len, fronts)) for fronts, _ in states), default=0)
         engine._reserve(successors * (_STATE_BYTES + _MATCH_BYTES * matches + top // 7),
-                        "merging the states of {:,} sequences of length {}", successors, m)
+                        "merging {:,} successors, each a state of length {} and a value "
+                        "it allows", successors, m)
         states = _step(states, s, p, top)
 
 
@@ -560,5 +561,6 @@ def row_counts(bounds, pattern, work=None):
             return
         # The sort of the merge also takes about 4 KB per uint64 word of a row.
         engine._reserve(successors * _row_bytes(p, top, m) + 512 * width,
-                        "merging the states of {:,} sequences of length {}", successors, m)
+                        "merging {:,} successors, each a state of length {} and a value "
+                        "it allows", successors, m)
         rows, counts = _row_step(rows, counts, s, p, top)

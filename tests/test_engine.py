@@ -202,6 +202,72 @@ def test_subset_total_matches_subset_sums(pattern):
     assert engine.subset_total(ground, pattern) == want
 
 
+# engine._RUN_ROWS at which every step from a layer with a column repeats
+# its runs, and at which every step repeats its rows.
+_BY_RUNS, _BY_ROWS = 0, 1 << 62
+
+
+def _layers_written_by(monkeypatch, run_rows, bounds, pattern):
+    monkeypatch.setattr(engine, "_RUN_ROWS", run_rows)
+    return list(avoider_steps(bounds, pattern))
+
+
+def test_runs_and_rows_write_equal_layers(monkeypatch):
+    # The same rows in the same order, dtype and column-major storage,
+    # whichever repeat writes each layer.
+    bounds = ordinary_bounds(9)
+    for p in _ALL_UP_TO_4:
+        by_runs = _layers_written_by(monkeypatch, _BY_RUNS, bounds, p)
+        by_rows = _layers_written_by(monkeypatch, _BY_ROWS, bounds, p)
+        assert len(by_runs) == len(by_rows) == len(bounds)
+        for a, b in zip(by_runs, by_rows):
+            assert a.dtype == b.dtype == _dtype_for(bounds), str(as_pattern(p))
+            assert a.flags.f_contiguous and b.flags.f_contiguous, str(as_pattern(p))
+            assert np.array_equal(a, b), (str(as_pattern(p)), a.shape)
+
+
+@pytest.mark.parametrize("run_rows", [_BY_RUNS, _BY_ROWS], ids=["runs", "rows"])
+@pytest.mark.parametrize("bounds, patterns", [
+    (bounds, _WIDE_PATTERNS + ["0"]) for bounds in _WIDE_BOUNDS
+] + [((2, 3, 4, 200), ["3201", "0021", "1001", "0"])],
+    ids=[f"wide-{b}" for b in _WIDE_BOUNDS] + ["200-length-4"])
+def test_either_repeat_matches_reference_in_column_blocks(monkeypatch, run_rows, bounds,
+                                                          patterns):
+    # int16 entries past 127, and the empty layers of 0 from length 1. At
+    # 7 candidates a block, each new column is written a row or two at a
+    # time, and one row at a time past the bound 7.
+    monkeypatch.setattr(engine, "_RUN_ROWS", run_rows)
+    monkeypatch.setattr(engine, "_CANDIDATES", 7)
+    for p in patterns:
+        _layers_match_reference(bounds, p)
+
+
+@pytest.mark.parametrize("pattern", ["3201", "1001", "0"])
+def test_subset_total_by_either_repeat(monkeypatch, pattern):
+    # Over [8] a walk passes _RUN_ROWS (5,034 rows for 3201 over [7]), so
+    # it finds runs, carries them to children and drops them below it.
+    ground = range(1, 9)
+    subsets = chain.from_iterable(combinations(ground, r) for r in range(9))
+    want = sum(count_avoiders(S, pattern) for S in subsets)
+    for run_rows in (_BY_RUNS, _BY_ROWS, engine._RUN_ROWS):
+        monkeypatch.setattr(engine, "_RUN_ROWS", run_rows)
+        assert engine.subset_total(ground, pattern) == want, run_rows
+
+
+def test_runs_found_once_where_layers_reach_run_rows(monkeypatch):
+    # 3201 over [9]: the steps from fewer than _RUN_ROWS rows repeat rows,
+    # the first from more finds its runs from its layer's columns, and the
+    # later ones take theirs from the step before.
+    bounds, found, runs, run_rows = ordinary_bounds(9), [], engine._runs, engine._RUN_ROWS
+    by_rows = _layers_written_by(monkeypatch, _BY_ROWS, bounds, "3201")
+    monkeypatch.setattr(engine, "_runs", lambda E: found.append(len(E)) or runs(E))
+    layers = _layers_written_by(monkeypatch, run_rows, bounds, "3201")
+    parents = [len(E) for E in layers[3:-1]]  # after the products
+    assert min(parents) < run_rows <= max(parents)
+    assert found == [next(rows for rows in parents if rows >= run_rows)]
+    assert all(np.array_equal(a, b) for a, b in zip(layers, by_rows))
+
+
 def test_plan_built_once_per_pattern_and_words(monkeypatch):
     # count_steps, avoider_steps and the last count share one plan, kept
     # across calls, so two rounds of counts index the forbidden values once

@@ -218,7 +218,8 @@ def test_reserves_each_step_before_it_allocates(monkeypatch):
             tracemalloc.stop()
         monkeypatch.setattr(states, "_step", real)
     monkeypatch.setattr(engine, "_budget", lambda need: 10**5)
-    with pytest.raises(MemoryError, match="merging the states of [0-9,]+ sequences of length"):
+    with pytest.raises(MemoryError, match="merging [0-9,]+ successors, each a state of "
+                                          "length [0-9]+ and a value it allows"):
         list(state_counts(ordinary_bounds(9), "1001"))
 
 
@@ -248,7 +249,8 @@ def test_row_steps_reserve_before_they_allocate(monkeypatch):
             tracemalloc.stop()
         monkeypatch.setattr(states, "_row_step", real)
     monkeypatch.setattr(engine, "_budget", lambda need: 10**5)
-    with pytest.raises(MemoryError, match="merging the states of [0-9,]+ sequences of length"):
+    with pytest.raises(MemoryError, match="merging [0-9,]+ successors, each a state of "
+                                          "length [0-9]+ and a value it allows"):
         list(row_counts(ordinary_bounds(9), "1001"))
 
 
