@@ -32,13 +32,16 @@ def _cmp(x, y):
     return 1 if x > y else -1 if x < y else 0
 
 
-def _integer(value, what):
-    """value as an int, never truncated (operator.index); anything else
-    raises ValueError naming `what`."""
+def _integer(value, what, least=None):
+    """value as an int, never truncated (operator.index), and at least
+    `least` if given; anything else raises ValueError naming `what`."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ValueError(f"{what} {value!r} is not an integer") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be " + (f">= {least}" if least else "nonnegative"))
+    return value
 
 
 def _integers(values, what, digits=False):

@@ -91,9 +91,7 @@ def theorem31_rhs(n, suffix):
     are visited by one depth-first walk of the subset lattice
     (`engine.subset_total`).
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer(n, "n", 1)
     if n > _SUBSET_LIMIT:
         raise ValueError(
             f"refusing subset sum for n > {_SUBSET_LIMIT} (2^(n-1) subsets)"
@@ -109,9 +107,7 @@ def theorem31_rhs(n, suffix):
 def binary_avoider_formula(j, k, ell):
     """C(j + min(k, ell-2), j): binary words with j zeros and k ones avoiding
     any length-ell binary pattern with exactly one zero."""
-    ell = _integer(ell, "ell")
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    ell = _integer(ell, "ell", 2)
     j, k = _integers((j, k), "(j, k) entry")
     if j < 0 or k < 0:
         raise ValueError("j and k must be nonnegative")
@@ -155,9 +151,7 @@ def _zero_positions(e):
 def terminal_h_repeat(e, h):
     """Largest r such that e has >= r zeros and some positive value occurs
     at least h times strictly after the r-th zero; 0 if none."""
-    h = _integer(h, "h")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+    h = _integer(h, "h", 0)
     zeros = _zero_positions(e)
     if h == 0:
         return len(zeros)
@@ -173,9 +167,7 @@ def terminal_h_repeat(e, h):
 def initial_h_repeat(e, h):
     """Largest r such that e has >= r zeros and some positive value occurs
     at least h times strictly before the r-th-to-last zero; 0 if none."""
-    h = _integer(h, "h")
-    if h < 1:
-        raise ValueError("h must be positive")
+    h = _integer(h, "h", 1)
     zeros = _zero_positions(e)
     best = 0
     for r in range(1, len(zeros) + 1):
@@ -289,7 +281,8 @@ def _refined_counts(E, mode):
 
     Each row's key is packed into int64 words of 63 bits (j, k and the
     statistic take n.bit_length() bits each, the positive set one bit per
-    segment), and rows are grouped by sorting the words.
+    segment), and rows are grouped by sorting the words: a group starts
+    where a sorted word changes (engine._starts).
     """
     rows, n = E.shape
     if rows == 0:
@@ -312,12 +305,7 @@ def _refined_counts(E, mode):
         words[-1] |= values.astype(np.int64) << used
         used += w
     order = np.lexsort(words)
-    first = np.zeros(rows, dtype=bool)
-    first[0] = True
-    for word in words:
-        word = word[order]
-        first[1:] |= word[1:] != word[:-1]
-    starts = first.nonzero()[0]
+    starts = engine._starts((word[order] for word in words), rows)
     reps = order[starts]
     keys = [f[reps].tolist() for f in fields]
     if mode == "non_inversion":

@@ -438,11 +438,6 @@ def _write(E, s, forbidden, runs):
     return out.reshape(m + 1, size).T, counts, (values, later)
 
 
-def _grow(E, s, forbidden):
-    """(next layer, children per row of E): one step of _write, from no runs."""
-    return _write(E, s, forbidden, None)[:2]
-
-
 def _children(forbidden, s, out=None):
     """Per row, the values below s whose forbidden bits are clear, in `out`
     if given."""
@@ -491,16 +486,21 @@ def _count_after(E, plan, bounds):
     return total
 
 
-def _edges(E):
-    """Where each parent's children start in E, the rows whose prefix, all
-    but the last column, differs from the row before, then len(E)."""
-    rows = len(E)
-    first = np.zeros(rows + 1, dtype=bool)
-    first[0] = first[rows] = True
-    new = first[1:rows]
-    for col in E.T[:-1]:
-        new |= col[1:] != col[:-1]
+def _starts(columns, rows):
+    """Where the runs of equal rows start, for rows given as `columns`,
+    each `rows` long: row 0 and every row whose entry in some column
+    differs from the row before."""
+    first = np.zeros(rows, dtype=bool)
+    first[:1] = True
+    for col in columns:
+        first[1:] |= col[1:] != col[:-1]
     return first.nonzero()[0]
+
+
+def _edges(E):
+    """Where each parent's children start in E, then len(E): the _starts of
+    its prefixes, all but the last column."""
+    return np.append(_starts(E.T[:-1], len(E)), len(E))
 
 
 def _parent_bits(E, edges, width, words):

@@ -34,10 +34,6 @@ class RationalSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order, flavor="ordinary"):
-        return cls([], order, flavor)
-
-    @classmethod
     def one(cls, order, flavor="ordinary"):
         return cls([1], order, flavor)
 
@@ -194,18 +190,9 @@ def tan_plus_sec(order):
     return (sin_series(order) + 1) * cos_series(order).reciprocal()
 
 
-def _nonnegative(value, what):
-    """value as an int >= 0, taken through operator.index (core._integer);
-    anything else raises ValueError naming `what`."""
-    value = _integer(value, what)
-    if value < 0:
-        raise ValueError(f"{what} must be nonnegative")
-    return value
-
-
 def euler_numbers(n_max):
     """E_0..E_n_max from the tan+sec expansion."""
-    n_max = _nonnegative(n_max, "n_max")
+    n_max = _integer(n_max, "n_max", 0)
     s = tan_plus_sec(n_max)
     return [s.egf_int(n) for n in range(n_max + 1)]
 
@@ -215,10 +202,7 @@ def _bound(k):
     bound, so k = None (unbounded branching) is refused."""
     if k is None:
         raise ValueError("the series needs a bound k; None (unbounded) has no series here")
-    k = _integer(k, "k")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return k
+    return _integer(k, "k", 1)
 
 
 def series_Tk(k, order):
@@ -249,9 +233,7 @@ def series_Rk(k, order):
 
 def c_coefficients(k):
     """The rational constants c_{m,k}, m = 0..k-2, of the rewritten ODE."""
-    k = _integer(k, "k")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _integer(k, "k", 2)
     out = []
     for m in range(k - 1):
         acc = sum(
@@ -280,7 +262,7 @@ def c_identity_holds(k):
 def ode_via_c_matches(k, order):
     """k! T_k' == T_k^k + sum_m c_{m,k} T_k^m as truncated series, for an
     int order >= 0."""
-    order = _nonnegative(order, "order")
+    order = _integer(order, "order", 0)
     t = series_Tk(k, order + 1)
     lhs = t.differentiate() * factorial(k)
     t = t.truncate(order)
@@ -296,7 +278,7 @@ def a218225_terms(n_max):
 
     Independent of avoider enumeration; used as a cross-check oracle.
     """
-    n_max = _nonnegative(n_max, "n_max")
+    n_max = _integer(n_max, "n_max", 0)
     a = [0] * (n_max + 1)  # a[0] unused
     for n in range(1, n_max + 1):
         acc = 1  # [x^n] of 1/(1-x) - 1
@@ -318,9 +300,7 @@ def check_0021_conjecture(n_max, counts=None):
     computed by enumeration. Returns (ok, report) where the report lists
     the counts and the first failing coefficient if any.
     """
-    n_max = _integer(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _integer(n_max, "n_max", 1)
     if counts is None:
         counts = engine.count_steps(ordinary_bounds(n_max), (0, 0, 2, 1))
     counts = list(counts)

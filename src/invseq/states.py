@@ -504,18 +504,13 @@ def _beaten(table, r, value, top):
 
 
 def _merge(rows, counts):
-    """The distinct rows, each with the sum of the counts of its copies."""
+    """The distinct rows, each with the sum of the counts of its copies:
+    the rows sorted, and one of each run of equal ones (engine._starts)."""
     if not len(rows):
         return rows, counts
     keys = rows.view(np.uint64)
     order = np.lexsort(keys.T) if keys.shape[1] > 1 else keys[:, 0].argsort()
-    keys = keys[order]
-    start = np.empty(len(keys), bool)
-    start[0] = True
-    np.not_equal(keys[1:, 0], keys[:-1, 0], out=start[1:])
-    for k in range(1, keys.shape[1]):
-        start[1:] |= keys[1:, k] != keys[:-1, k]
-    start = start.nonzero()[0]
+    start = engine._starts(keys[order].T, len(keys))
     return rows[order[start]], np.add.reduceat(counts[order], start)
 
 

@@ -24,9 +24,7 @@ class WilfClass:
 
 def canonical_patterns(length):
     """All canonical words of the given length, lexicographic order."""
-    length = _integer(length, "length")
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    length = _integer(length, "length", 1)
     out = []
     for word in product(range(length), repeat=length):
         if set(word) == set(range(max(word) + 1)):
@@ -36,9 +34,7 @@ def canonical_patterns(length):
 
 def count_vector(pattern, n_max):
     """Exact |I_n(pattern)| for n = 1..n_max."""
-    n_max = _integer(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _integer(n_max, "n_max", 1)
     p = as_pattern(pattern)
     return CountVector(p, tuple(engine.count_steps(ordinary_bounds(n_max), p)))
 
@@ -53,15 +49,10 @@ def classify(length, n_max, threads=os.cpu_count() or 1):
     are returned sorted by their lexicographically smallest pattern; the
     partition is independent of input order and worker count.
     """
-    threads = _integer(threads, "threads")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    threads = _integer(threads, "threads", 1)
     patterns = canonical_patterns(length)
     workers = min(threads, os.cpu_count() or 1, len(patterns)) if hasattr(os, "fork") else 1
-    if workers > 1:
-        counts = _split(patterns, n_max, workers)
-    else:
-        counts = [count_vector(p, n_max).counts for p in patterns]
+    counts = _split(patterns, n_max, workers)
     by_counts = {}
     for p, c in zip(patterns, counts):
         by_counts.setdefault(c, []).append(p)
@@ -76,11 +67,11 @@ def classify(length, n_max, threads=os.cpu_count() or 1):
 def _split(patterns, n_max, workers):
     """The count tuples of `patterns`, counted in `workers` processes.
 
-    Child i counts patterns[i::workers] and sends its counts, or the
-    exception it raised, pickled through a pipe; this process counts
-    patterns[0::workers] meanwhile. It reads each pipe to its end before it
-    reaps that child, so no child blocks on a full pipe, and re-raises a
-    child's exception. Whatever it raises, no child outlives the call:
+    Child i, for i = 1..workers - 1, counts patterns[i::workers] and sends
+    its counts, or the exception it raised, pickled through a pipe; this
+    process counts patterns[0::workers] meanwhile. It reads each pipe to its
+    end before it reaps that child, so no child blocks on a full pipe, and
+    re-raises a child's exception. Whatever it raises, no child outlives the call:
     those not yet reaped are killed and reaped.
     """
     import pickle
@@ -148,9 +139,7 @@ def first_divergence(p, q, n_max):
     Counts are grown incrementally and compared per length, so the search
     stops at the first difference; the length n_max is only counted.
     """
-    n_max = _integer(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _integer(n_max, "n_max", 1)
     p, q = as_pattern(p), as_pattern(q)
     bounds = ordinary_bounds(n_max)
     counts = zip(engine.count_steps(bounds, p), engine.count_steps(bounds, q))

@@ -13,9 +13,11 @@ from invseq import (
     c_coefficients,
     c_identity_holds,
     canonical_patterns,
+    check_0021_conjecture,
     classify,
     contains,
     count_avoiders_n,
+    count_vector,
     euler_numbers,
     extend_avoids,
     initial_h_repeat,
@@ -25,6 +27,7 @@ from invseq import (
     ordinary_bounds,
     tan_plus_sec,
     terminal_h_repeat,
+    theorem31_rhs,
 )
 from invseq.core import canonicalize, is_permutation, validate_bounds
 
@@ -278,3 +281,19 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match=re.escape(f"{name} 1.5 is not an integer")):
             call(1.5)
         assert call(np.int64(value)) == call(value)
+
+    @pytest.mark.parametrize("call, value, message", [
+        (lambda v: terminal_h_repeat((0, 1, 1, 0), v), -1, "h must be nonnegative"),
+        (lambda v: initial_h_repeat((1, 1, 0, 0), v), 0, "h must be >= 1"),
+        (lambda v: binary_avoider_formula(1, 1, v), 1, "ell must be >= 2"),
+        (lambda v: theorem31_rhs(v, "1"), 0, "n must be >= 1"),
+        (canonical_patterns, 0, "length must be >= 1"),
+        (lambda v: count_vector("01", v), 0, "n_max must be >= 1"),
+        (check_0021_conjecture, 0, "n_max must be >= 1"),
+        (c_coefficients, 1, "k must be >= 2"),
+    ], ids=["terminal_h_repeat", "initial_h_repeat", "binary_avoider_formula",
+            "theorem31_rhs", "canonical_patterns", "count_vector",
+            "check_0021_conjecture", "c_coefficients"])
+    def test_below_the_least_value_refused(self, call, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)

@@ -143,7 +143,7 @@ def _growth_chain(bounds, pattern):
     E, parent = engine._empty_layer(bounds), None
     for s in bounds:
         forbidden = engine._forbidden(E, plan, parent)
-        E_next, counts = engine._grow(E, s, forbidden)
+        E_next, counts = engine._write(E, s, forbidden, None)[:2]
         yield E, forbidden, counts
         E, parent = E_next, (forbidden, counts)
 
@@ -396,7 +396,7 @@ def test_step_prediction_covers_traced_peak(monkeypatch, pattern, bounds, block)
         # As avoider_steps does: each step starts from its parent's bits.
         for s in bounds[:-1]:
             forbidden = measure(len(E), engine._forbidden, E, plan, parent)
-            layer, counts = measure(len(E), engine._grow, E, s, forbidden)
+            layer, counts = measure(len(E), engine._write, E, s, forbidden, None)[:2]
             E, parent = layer, (forbidden, counts)
         # As count_steps does: the parents' bits read off E, carried into it.
         count = measure(len(E), engine._count_after, E, plan, bounds)
