@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import bijections, counting, series, trees, wilf
 from .bfile import BFileError, compare_with_bfile, parse_bfile
 from .claims import CLAIMS
-from .core import Pattern, validate_bounds
+from .core import Pattern, _integer, validate_bounds
 
 
 class UsageError(ValueError):
@@ -68,6 +68,20 @@ def _parse_set(text):
         raise UsageError(f"bad bound set {text!r}: {ex}")
 
 
+def _at_least(least):
+    """An argparse type: the option's int, refused below `least` with
+    core._integer's text (`argument --X: must be >= k`, or `must be
+    nonnegative` for k = 0). int() reads the text first, so `-1` is out of
+    range and `1.5` an invalid integer."""
+    def integer(text):
+        value = int(text)
+        try:
+            return _integer(value, "", least)
+        except ValueError as ex:
+            raise argparse.ArgumentTypeError(str(ex).lstrip()) from None
+    return integer
+
+
 def _parse_pattern(text):
     try:
         return Pattern.parse(text)
@@ -81,8 +95,6 @@ def _parse_pattern(text):
 def cmd_count(args):
     report = RunReport("count")
     pattern = _parse_pattern(args.pattern)
-    if (args.n is None) == (args.set is None):
-        raise UsageError("provide exactly one of --n or --set")
     if args.set is not None:
         if args.vector:
             raise UsageError("--vector needs --n: a bound set has one count")
@@ -90,22 +102,14 @@ def cmd_count(args):
         report.add(set=",".join(map(str, bounds)), pattern=str(pattern),
                    count=counting.count_avoiders(bounds, pattern))
     else:
-        if args.n < 1:
-            raise UsageError("--n must be >= 1")
-        if args.vector:
-            counts = wilf.count_vector(pattern, args.n).counts
-            for n, c in enumerate(counts, start=1):
-                report.add(n=n, pattern=str(pattern), count=c)
-        else:
-            report.add(n=args.n, pattern=str(pattern),
-                       count=counting.count_avoiders_n(args.n, pattern))
+        counts = wilf.count_vector(pattern, args.n).counts
+        for n in range(1 if args.vector else args.n, args.n + 1):
+            report.add(n=n, pattern=str(pattern), count=counts[n - 1])
     return report
 
 
 def cmd_classify(args):
     report = RunReport("classify")
-    if args.length < 1 or args.nmax < 1:
-        raise UsageError("--length and --nmax must be >= 1")
     classes = wilf.classify(args.length, args.nmax)
     for idx, cls in enumerate(classes):
         report.add(
@@ -136,8 +140,6 @@ def cmd_bijection(args):
 
 def cmd_trees(args):
     report = RunReport("trees")
-    if args.n < 0 or args.k < 1:
-        raise UsageError("--n must be >= 0 and --k >= 1")
     if args.oracle == "bruteforce":
         count = trees.count_trees_bruteforce(args.n, args.k, args.root_unbounded)
     elif args.root_unbounded:
@@ -151,12 +153,8 @@ def cmd_trees(args):
 
 def cmd_series(args):
     report = RunReport("series")
-    if args.order < 0:
-        raise UsageError("--order must be >= 0")
     if args.kind == "tansec":
         s = series.tan_plus_sec(args.order)
-    elif args.k < 1:
-        raise UsageError(f"--k must be >= 1 for kind {args.kind}")
     elif args.kind == "T":
         s = series.series_Tk(args.k, args.order)
     else:
@@ -180,8 +178,6 @@ _SEQUENCES = {
 def _computed_sequence(args):
     """(first n, terms for n = first n..nmax) of the selected sequence."""
     sel, nmax = args.seq, args.nmax
-    if nmax < 1:
-        raise UsageError("--nmax must be >= 1")
     if sel in _SEQUENCES:
         return 0, _SEQUENCES[sel](nmax)
     if sel.startswith("inv-"):
@@ -212,8 +208,6 @@ def cmd_check(args):
             f"unknown check {args.name!r}; available: {', '.join(sorted(CLAIMS))}"
         )
     nmax = claim.default if args.nmax is None else args.nmax
-    if nmax < 1:
-        raise UsageError("--nmax must be >= 1")
     if nmax > claim.limit and not args.allow_long:
         raise UsageError(f"--nmax {nmax} exceeds the cap {claim.limit} of check "
                          f"{args.name}; rerun with --allow-long")
@@ -241,22 +235,23 @@ def build_parser():
 
     p = sub.add_parser("count", help="count avoiders over I_n or I_S")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--set")
+    domain = p.add_mutually_exclusive_group(required=True)
+    domain.add_argument("--n", type=_at_least(1))
+    domain.add_argument("--set")
     p.add_argument("--vector", action="store_true",
                    help="emit the whole count vector 1..n (with --n)")
     _add_common(p)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("classify", help="empirical Wilf classes")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--length", type=_at_least(1), required=True)
+    p.add_argument("--nmax", type=_at_least(1), required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("check", help="run a named verification suite")
     p.add_argument("name")
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=_at_least(1), default=None)
     p.add_argument("--allow-long", action="store_true", help="lift the --nmax cap")
     _add_common(p)
     p.set_defaults(fn=cmd_check)
@@ -268,8 +263,8 @@ def build_parser():
     p.set_defaults(fn=cmd_bijection)
 
     p = sub.add_parser("trees", help="count label-increasing trees")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
     p.add_argument("--root-unbounded", action="store_true")
     p.add_argument("--oracle", choices=("series", "bruteforce"), default="series")
     _add_common(p)
@@ -277,8 +272,8 @@ def build_parser():
 
     p = sub.add_parser("series", help="EGF coefficient tables")
     p.add_argument("--kind", choices=("T", "R", "tansec"), required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--k", type=_at_least(1), default=2)
+    p.add_argument("--order", type=_at_least(0), required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_series)
 
@@ -287,7 +282,7 @@ def build_parser():
     p.add_argument("--bfile", required=True)
     p.add_argument("--offset", type=int, default=None,
                    help="b-file index of the first term (default: its n)")
-    p.add_argument("--nmax", type=int, default=10,
+    p.add_argument("--nmax", type=_at_least(1), default=10,
                    help="largest n computed")
     _add_common(p)
     p.set_defaults(fn=cmd_oeis_compare)

@@ -75,7 +75,11 @@ def count_avoiders(bounds, pattern, engine_name="fast"):
 
 
 def count_avoiders_n(n, pattern, engine_name="fast"):
-    """|I_n(pattern)| over ordinary inversion sequences."""
+    """|I_n(pattern)| over ordinary inversion sequences.
+
+    Nothing in the library calls it (`wilf.count_vector` ends with this
+    count). It stays only because perfbench/workloads.py calls it, and
+    goes when the benchmark next changes (ROADMAP direction 8)."""
     return count_avoiders(ordinary_bounds(n), pattern, engine_name)
 
 

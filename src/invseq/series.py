@@ -21,10 +21,7 @@ class RationalSeries:
 
     def __init__(self, coeffs, order=None, flavor="ordinary"):
         coeffs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        order = _integer(len(coeffs) - 1 if order is None else order, "order", 0)
         coeffs = coeffs[: order + 1]
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         self.coeffs = coeffs
@@ -36,10 +33,6 @@ class RationalSeries:
     @classmethod
     def one(cls, order, flavor="ordinary"):
         return cls([1], order, flavor)
-
-    @classmethod
-    def x(cls, order, flavor="ordinary"):
-        return cls([0, 1], order, flavor)
 
     # -- basics -------------------------------------------------------
 
@@ -135,12 +128,6 @@ class RationalSeries:
     def differentiate(self):
         out = [self.coeffs[i] * i for i in range(1, self.order + 1)]
         return RationalSeries(out, self.order - 1, self.flavor)
-
-    def integrate(self, constant=0):
-        out = [Fraction(constant)] + [
-            self.coeffs[i] / (i + 1) for i in range(self.order + 1)
-        ]
-        return RationalSeries(out, self.order + 1, self.flavor)
 
     def reciprocal(self):
         c0 = self.coeffs[0]

@@ -70,15 +70,10 @@ def count_trees_bruteforce(n, k, root_unbounded=False):
     return sum(1 for _ in trees)
 
 
-def _series_args(n, k):
-    """_tree_args for the series oracles, which need a bound: k = None is
-    refused for every n, as series_Tk refuses it."""
-    return _tree_args(n, _bound(k))
-
-
 def count_trees_bounded(n, k):
-    """|L_{n,k}| via the ODE series for T_k."""
-    n, k = _series_args(n, k)
+    """|L_{n,k}| via the ODE series for T_k; k = None is refused for every
+    n, as series_Tk refuses it."""
+    n, k = _tree_args(n, _bound(k))
     if n == 0:
         return 1
     return series_Tk(k, n).egf_int(n)
@@ -92,7 +87,7 @@ def count_trees_root_unbounded(n, k):
     (n-1)-th EGF coefficient of exp(T_k - 1), not the n-th; exhaustive
     enumeration confirms the shift.
     """
-    n, k = _series_args(n, k)
+    n, k = _tree_args(n, _bound(k))
     if n == 0:
         return 1
     return series_Rk(k, n - 1).egf_int(n - 1)

@@ -145,12 +145,13 @@ class TestTreesAndSeries:
             1, 1, 1, 2, 5, 16, 61,
         ]
 
-    @pytest.mark.parametrize("kind, k", [("T", "0"), ("R", "-1")])
+    @pytest.mark.parametrize("kind, k", [("T", "0"), ("R", "-1"), ("tansec", "0")])
     def test_series_k_below_one_refused(self, capsys, kind, k):
+        # tansec reads no k, but --k is refused below 1 for every kind
         with pytest.raises(SystemExit) as exc:
             main(["series", "--kind", kind, "--k", k, "--order", "3"])
         assert exc.value.code == 2
-        assert "--k must be >= 1" in capsys.readouterr().err
+        assert "argument --k: must be >= 1" in capsys.readouterr().err
 
 
 class TestChecks:
@@ -288,6 +289,31 @@ class TestChecks:
 
 
 class TestFlags:
+    @pytest.mark.parametrize("argv, option, least", [
+        (["count", "--pattern", "000"], "--n", 1),
+        (["classify", "--nmax", "3"], "--length", 1),
+        (["classify", "--length", "2"], "--nmax", 1),
+        (["trees", "--k", "2"], "--n", 0),
+        (["trees", "--n", "3"], "--k", 1),
+        (["series", "--kind", "T"], "--order", 0),
+        (["series", "--kind", "T", "--order", "3"], "--k", 1),
+        (["check", "thm31"], "--nmax", 1),
+        (["oeis-compare", "--seq", "bell", "--bfile", str(DATA / "b000110.txt")],
+         "--nmax", 1),
+    ], ids=["count-n", "classify-length", "classify-nmax", "trees-n", "trees-k",
+            "series-order", "series-k", "check-nmax", "oeis-compare-nmax"])
+    def test_integer_option_below_its_least_refused(self, capsys, argv, option, least):
+        bound = f">= {least}" if least else "nonnegative"
+        for value in sorted({least - 1, -1}):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [option, str(value)])
+            assert exc.value.code == 2
+            assert f"argument {option}: must be {bound}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, "1.5"])
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid integer value: '1.5'" in capsys.readouterr().err
+
     def test_threads_only_on_classify(self, capsys):
         # classify derives its worker count, so no subcommand takes --threads.
         for argv in (["bijection", "--seq", "0,1"],

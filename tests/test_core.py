@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from invseq import (
     Pattern,
+    RationalSeries,
     a218225_terms,
     binary_avoider_formula,
     c_coefficients,
@@ -57,16 +58,22 @@ class TestPattern:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Pattern(())
+        with pytest.raises(ValueError, match="pattern must have length >= 1"):
+            Pattern.parse("")
 
     def test_parse_digits(self):
         assert Pattern.parse("0021").entries == (0, 0, 2, 1)
+        assert Pattern.parse(" 0021 ").entries == (0, 0, 2, 1)
 
     def test_parse_commas(self):
         assert Pattern.parse("10,2,0").entries == (2, 1, 0)
+        assert Pattern.parse("10, 2,0").entries == (2, 1, 0)
 
     def test_parse_error_reports_position(self):
         with pytest.raises(ValueError, match="position 2"):
             Pattern.parse("01x1")
+        with pytest.raises(ValueError, match="'' at position 1"):
+            Pattern.parse("0,,1")
 
     @pytest.mark.parametrize("entries, bad", [
         ((0.9, 0.1, 1.2), "0.9 at position 0"),
@@ -273,10 +280,11 @@ class TestIntegerArguments:
         (ordinary_bounds, "n", 3),
         (lambda v: count_avoiders_n(v, "010"), "n", 5),
         (lambda v: binary_avoider_formula(3, 4, v), "ell", 4),
+        (lambda v: type(RationalSeries([1], v).order), "order", 2),  # an int, not numpy's
     ], ids=["euler_numbers", "a218225_terms", "c_coefficients", "c_identity_holds",
             "canonical_patterns", "classify-threads", "terminal_h_repeat",
             "initial_h_repeat", "tan_plus_sec", "ordinary_bounds", "count_avoiders_n",
-            "binary_avoider_formula"])
+            "binary_avoider_formula", "RationalSeries-order"])
     def test_non_integer_refused_numpy_integer_taken(self, call, name, value):
         with pytest.raises(ValueError, match=re.escape(f"{name} 1.5 is not an integer")):
             call(1.5)
